@@ -12,28 +12,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 from .audio import AudioBuffer
-from .effects import (
-    NoiseBank,
-    _mix_segments,
-    apply_lowpass,
-    apply_pitch,
-    apply_speed,
-)
+from .effects import NoiseBank, apply_lowpass, apply_pitch, apply_speed, mix_picks
 from .errors import ChainStageError, EmptyNoiseBank, SpeechAugError
 
 KIND_SPEED = "speed"
 KIND_PITCH = "pitch"
 KIND_LOWPASS = "lowpass"
 KIND_NOISE_MIX = "noise_mix"
-
-_KNOWN_KINDS = (KIND_SPEED, KIND_PITCH, KIND_LOWPASS, KIND_NOISE_MIX)
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ class EffectSpec:
     max_segments: int = 4
 
     def __post_init__(self) -> None:
-        if self.kind not in _KNOWN_KINDS:
+        if self.kind not in EFFECTS:
             raise ValueError(f"unknown effect kind {self.kind!r}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
@@ -209,43 +202,105 @@ def _uniform(u: float, low: float, high: float) -> float:
     return low + u * (high - low)
 
 
-def _needs_bank(config: ChainConfig) -> bool:
+def needs_bank(config: ChainConfig) -> bool:
+    """Whether the chain can fire a noise mix, and so needs a noise bank."""
     return any(s.kind == KIND_NOISE_MIX and s.probability > 0.0 for s in config.specs)
 
 
-def _run_noise_stage(
-    buffer: AudioBuffer,
-    spec: EffectSpec,
-    bank: NoiseBank,
-    snr_db: float,
-    u_count: float,
-    u_pairs: np.ndarray,
-) -> tuple[AudioBuffer, dict[str, Any]]:
+Params = dict[str, Any]
+
+
+@dataclass(frozen=True)
+class _Effect:
+    """How one effect kind turns uniforms into params and params into audio.
+
+    ``uniforms(spec)`` is how many uniforms a spec draws after its gate.
+    ``resolve(spec, u, buffer, bank)`` maps them to the params the trace
+    records. ``apply(buffer, params, bank)`` performs the params and returns
+    the output with the params as applied: the noise mix adds the gain, peak
+    scale and degenerate flag it measured, the other kinds add nothing.
+    apply_chain and replay_trace both go through ``apply``.
+    """
+
+    uniforms: Callable[[EffectSpec], int]
+    resolve: Callable[[EffectSpec, list[float], AudioBuffer, NoiseBank | None], Params]
+    apply: Callable[[AudioBuffer, Params, NoiseBank | None], tuple[AudioBuffer, Params]]
+
+
+def _resolve_noise(
+    spec: EffectSpec, u: list[float], buffer: AudioBuffer, bank: NoiseBank | None
+) -> Params:
+    u_snr, u_count, *u_pairs = u
     count = min(spec.max_segments, 1 + int(u_count * spec.max_segments))
     n = len(buffer)
-    segments = []
-    ids = []
-    offsets = []
-    for j in range(count):
-        entry = bank.entries[min(len(bank) - 1, int(u_pairs[2 * j] * len(bank)))]
-        offset = min(n - 1, int(u_pairs[2 * j + 1] * n))
-        segments.append((entry.buffer.samples.astype(np.float64), offset))
-        ids.append(entry.id)
-        offsets.append(offset)
-    out, _track, gain, scale, degenerate = _mix_segments(
-        buffer.samples.astype(np.float64), segments, snr_db
-    )
-    params = {
-        "snr_db": snr_db,
-        "entries": ids,
-        "offsets": offsets,
-        "gain": gain,
-        "peak_scale": scale,
-        "degenerate": degenerate,
+    return {
+        "snr_db": _uniform(u_snr, *spec.param_range),
+        "entries": [
+            bank.entries[min(len(bank) - 1, int(x * len(bank)))].id
+            for x in u_pairs[0 : 2 * count : 2]
+        ],
+        "offsets": [min(n - 1, int(x * n)) for x in u_pairs[1 : 2 * count : 2]],
     }
-    if degenerate:
-        return AudioBuffer(buffer.samples, buffer.sample_rate), params
-    return AudioBuffer(out, buffer.sample_rate), params
+
+
+def _apply_noise(
+    buffer: AudioBuffer, params: Params, bank: NoiseBank | None
+) -> tuple[AudioBuffer, Params]:
+    if params.get("degenerate"):
+        # the recorded mix left its input unchanged; repeating that needs no bank
+        return buffer, params
+    if bank is None or len(bank) == 0:
+        raise EmptyNoiseBank("a noise stage needs the bank its entries came from")
+    aligned = bank.at_rate(buffer.sample_rate)
+    try:
+        picks = [
+            (aligned.entry(eid), int(offset))
+            for eid, offset in zip(params["entries"], params["offsets"])
+        ]
+    except KeyError as err:
+        raise ValueError(err.args[0]) from None
+    out, report = mix_picks(buffer, picks, float(params["snr_db"]))
+    return out, {
+        **params,
+        "gain": report.gain,
+        "peak_scale": report.peak_scale,
+        "degenerate": report.degenerate,
+    }
+
+
+# The appliers name apply_speed, apply_pitch and apply_lowpass as module
+# globals, looked up on every call, so that wrapping those attributes (for
+# tracing or in tests) reaches the calls the chain makes.
+EFFECTS: dict[str, _Effect] = {
+    KIND_SPEED: _Effect(
+        lambda spec: 1,
+        lambda spec, u, buffer, bank: {"factor": _uniform(u[0], *spec.param_range)},
+        lambda buffer, p, bank: (apply_speed(buffer, float(p["factor"])), p),
+    ),
+    KIND_PITCH: _Effect(
+        lambda spec: 1,
+        lambda spec, u, buffer, bank: {"factor": _uniform(u[0], *spec.param_range)},
+        lambda buffer, p, bank: (apply_pitch(buffer, float(p["factor"])), p),
+    ),
+    KIND_LOWPASS: _Effect(
+        lambda spec: 1,
+        lambda spec, u, buffer, bank: {"cutoff_hz": _uniform(u[0], *spec.param_range)},
+        lambda buffer, p, bank: (apply_lowpass(buffer, float(p["cutoff_hz"])), p),
+    ),
+    KIND_NOISE_MIX: _Effect(
+        lambda spec: 2 + 2 * spec.max_segments,
+        _resolve_noise,
+        _apply_noise,
+    ),
+}
+
+
+@contextmanager
+def _stage(index: int, kind: str) -> Iterator[None]:
+    try:
+        yield
+    except SpeechAugError as err:
+        raise ChainStageError(index, kind, err) from err
 
 
 def apply_chain(
@@ -260,50 +315,30 @@ def apply_chain(
     draw gates the effect against its probability and further draws pick
     its parameters; the draws happen whether or not the effect fires, so
     changing one spec's probability never shifts the random values any
-    other spec sees. Returns the output and a trace of what fired.
+    other spec sees. A spec that fires resolves its draws into params and
+    runs the same applier replay_trace runs. Returns the output and a trace
+    of what fired.
     """
     if len(buffer) == 0:
         raise ValueError("cannot augment an empty buffer")
-    if _needs_bank(config):
-        if bank is None or len(bank) == 0:
-            raise EmptyNoiseBank("this chain mixes noise but no bank entries were given")
-        bank = bank.at_rate(buffer.sample_rate)
+    if needs_bank(config) and (bank is None or len(bank) == 0):
+        raise EmptyNoiseBank("this chain mixes noise but no bank entries were given")
 
     rng = np.random.Generator(np.random.PCG64(utterance_seed(config.global_seed, utterance_id)))
     current = buffer
     stages: list[StageTrace | None] = [None] * len(config.specs)
     for pos in range(len(config.specs) - 1, -1, -1):
         spec = config.specs[pos]
-        index = pos + 1
-        low, high = spec.param_range
-        u_gate = rng.random()
+        effect = EFFECTS[spec.kind]
+        u_gate, *u = rng.random(1 + effect.uniforms(spec)).tolist()
         applied = u_gate < spec.probability
-        params: dict[str, Any] = {}
-        try:
-            if spec.kind == KIND_NOISE_MIX:
-                u_snr = rng.random()
-                u_count = rng.random()
-                u_pairs = rng.random(2 * spec.max_segments)
-                if applied:
-                    current, params = _run_noise_stage(
-                        current, spec, bank, _uniform(u_snr, low, high), u_count, u_pairs
-                    )
-            else:
-                u_param = rng.random()
-                if applied:
-                    value = _uniform(u_param, low, high)
-                    if spec.kind == KIND_SPEED:
-                        current = apply_speed(current, value)
-                        params = {"factor": value}
-                    elif spec.kind == KIND_PITCH:
-                        current = apply_pitch(current, value)
-                        params = {"factor": value}
-                    else:
-                        current = apply_lowpass(current, value)
-                        params = {"cutoff_hz": value}
-        except SpeechAugError as err:
-            raise ChainStageError(index, spec.kind, err) from err
-        stages[pos] = StageTrace(index=index, kind=spec.kind, applied=applied, params=params)
+        params: Params = {}
+        if applied:
+            with _stage(pos + 1, spec.kind):
+                current, params = effect.apply(
+                    current, effect.resolve(spec, u, current, bank), bank
+                )
+        stages[pos] = StageTrace(index=pos + 1, kind=spec.kind, applied=applied, params=params)
 
     trace = AppliedTrace(utterance_id=utterance_id, stages=tuple(stages))  # type: ignore[arg-type]
     return AudioBuffer(current.samples, current.sample_rate), trace
@@ -319,10 +354,13 @@ def replay_trace(
 
     Given the same input buffer, the same chain and the bank the trace's
     noise entries came from, the result is bit-identical to the original
-    apply_chain output.
+    apply_chain output. A trace whose stage indexes are not exactly 1..n
+    for an n-spec chain, or that names a noise entry the bank lacks, raises
+    ValueError.
     """
-    if len(trace.stages) != len(config.specs):
-        raise ValueError("trace does not match the chain's spec count")
+    n = len(config.specs)
+    if sorted(s.index for s in trace.stages) != list(range(1, n + 1)):
+        raise ValueError(f"trace stage indexes must be exactly 1..{n}, one per chain spec")
     current = buffer
     for stage in sorted(trace.stages, key=lambda s: -s.index):
         if not stage.applied:
@@ -332,30 +370,6 @@ def replay_trace(
             raise ValueError(
                 f"trace stage {stage.index} is {stage.kind!r}, chain has {spec.kind!r}"
             )
-        try:
-            if stage.kind == KIND_SPEED:
-                current = apply_speed(current, float(stage.params["factor"]))
-            elif stage.kind == KIND_PITCH:
-                current = apply_pitch(current, float(stage.params["factor"]))
-            elif stage.kind == KIND_LOWPASS:
-                current = apply_lowpass(current, float(stage.params["cutoff_hz"]))
-            else:
-                if stage.params.get("degenerate"):
-                    continue
-                if bank is None or len(bank) == 0:
-                    raise EmptyNoiseBank("replaying a noise stage needs the original bank")
-                aligned = bank.at_rate(current.sample_rate)
-                segments = [
-                    (aligned.entry(eid).buffer.samples.astype(np.float64), int(off))
-                    for eid, off in zip(stage.params["entries"], stage.params["offsets"])
-                ]
-                out, _track, _gain, _scale, degenerate = _mix_segments(
-                    current.samples.astype(np.float64),
-                    segments,
-                    float(stage.params["snr_db"]),
-                )
-                if not degenerate:
-                    current = AudioBuffer(out, current.sample_rate)
-        except SpeechAugError as err:
-            raise ChainStageError(stage.index, stage.kind, err) from err
+        with _stage(stage.index, stage.kind):
+            current, _ = EFFECTS[stage.kind].apply(current, stage.params, bank)
     return AudioBuffer(current.samples, current.sample_rate)

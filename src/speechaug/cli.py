@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import load_wav, save_wav
-from .chain import ChainConfig, apply_chain, default_chain, load_chain
+from .chain import ChainConfig, apply_chain, default_chain, load_chain, needs_bank
 from .effects import NoiseBank
 from .errors import SpeechAugError
 from .manifest import (
@@ -93,10 +93,6 @@ def _load_bank(args: argparse.Namespace) -> NoiseBank | None:
     return None
 
 
-def _chain_mixes_noise(config: ChainConfig) -> bool:
-    return any(s.kind == "noise_mix" and s.probability > 0 for s in config.specs)
-
-
 def cmd_augment(args: argparse.Namespace) -> int:
     in_dir = Path(args.in_path)
     out_dir = Path(args.out_path)
@@ -107,29 +103,15 @@ def cmd_augment(args: argparse.Namespace) -> int:
         raise CliError(f"no WAV files under {in_dir}")
     config = _load_chain_config(args)
     bank = _load_bank(args)
-    if _chain_mixes_noise(config) and bank is None:
+    if needs_bank(config) and bank is None:
         raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    banks_by_rate: dict[int, NoiseBank] = {}
-
-    def bank_at(rate: int) -> NoiseBank | None:
-        if bank is None:
-            return None
-        if rate not in banks_by_rate:
-            banks_by_rate[rate] = bank.at_rate(rate)
-        return banks_by_rate[rate]
-
-    if bank is not None:
-        # pre-resample for every input rate so worker threads share one bank
-        for rate in {load_wav(f).sample_rate for f in files}:
-            bank_at(rate)
 
     def process(path: Path) -> tuple[str, str | None, str | None]:
         """Returns (name, trace_json, error)."""
         try:
             buffer = load_wav(path)
-            out, trace = apply_chain(config, buffer, path.stem, bank_at(buffer.sample_rate))
+            out, trace = apply_chain(config, buffer, path.stem, bank)
             save_wav(out, out_dir / path.name, encoding="float32")
             return path.name, trace.to_json(), None
         except SpeechAugError as err:
@@ -238,10 +220,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise CliError(str(err)) from err
     chain = None if args.no_effects else _load_chain_config(args)
     bank = _load_bank(args)
-    if chain is not None and _chain_mixes_noise(chain) and bank is None:
+    if chain is not None and needs_bank(chain) and bank is None:
         raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
-    if bank is not None:
-        bank = bank.at_rate(args.sample_rate)
     synthesizer = _make_synthesizer(args.synthesizer, args.sample_rate)
     unitizer = MockUnitizer(vocabulary_size=args.units_k)
     try:

@@ -8,6 +8,7 @@ where one is accepted, its random generator.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -197,6 +198,8 @@ class NoiseBank:
         self._by_id = {e.id: e for e in self._entries}
         if len(self._by_id) != len(self._entries):
             raise ValueError("noise entry ids must be unique")
+        self._at_rate: dict[int, NoiseBank] = {}
+        self._at_rate_lock = threading.Lock()
 
     @property
     def entries(self) -> tuple[NoiseEntry, ...]:
@@ -212,15 +215,23 @@ class NoiseBank:
             raise KeyError(f"no noise entry named {entry_id!r}") from None
 
     def at_rate(self, sample_rate: int) -> "NoiseBank":
-        """Return a bank whose entries all sit at ``sample_rate``."""
+        """Return a bank whose entries all sit at ``sample_rate``.
+
+        That is this bank when it already does. Otherwise the bank is
+        converted once per rate and the result cached; threads asking for
+        the same rate at once wait for the one conversion.
+        """
         if all(e.buffer.sample_rate == sample_rate for e in self._entries):
             return self
-        return NoiseBank(
-            [
-                NoiseEntry(e.id, resample(e.buffer, sample_rate), e.category)
-                for e in self._entries
-            ]
-        )
+        with self._at_rate_lock:
+            if sample_rate not in self._at_rate:
+                self._at_rate[sample_rate] = NoiseBank(
+                    [
+                        NoiseEntry(e.id, resample(e.buffer, sample_rate), e.category)
+                        for e in self._entries
+                    ]
+                )
+            return self._at_rate[sample_rate]
 
     @classmethod
     def from_dir(cls, path: str | Path, category: str | None = None) -> "NoiseBank":
@@ -271,34 +282,42 @@ class MixReport:
     noise_track: np.ndarray
 
 
-def _mix_segments(
-    signal: np.ndarray,
-    segments: Sequence[tuple[np.ndarray, int]],
+def mix_picks(
+    buffer: AudioBuffer,
+    picks: Sequence[tuple[NoiseEntry, int]],
     snr_db: float,
-) -> tuple[np.ndarray, np.ndarray, float, float, bool]:
-    """Core mixer shared by mix_noise and the effect chain.
+) -> tuple[AudioBuffer, MixReport]:
+    """Mix already chosen bank entries into the signal at ``snr_db``.
 
-    Sums the segments into one aggregate track, scales that track so the
-    mixed SNR equals ``snr_db`` exactly, and rescales the whole output by
-    1/peak if the sum leaves [-1, 1]. Returns
-    (output, scaled_noise_track, gain, peak_scale, degenerate).
+    The one noise mixer, behind mix_noise and the chain's noise stage. Each
+    (entry, offset) pick drops the entry in at that start offset, truncated
+    at the signal's end; the picks sum into one aggregate track, which is
+    scaled so the mixed SNR equals ``snr_db`` exactly, and the whole output
+    is rescaled by 1/peak if the sum leaves [-1, 1]. A silent aggregate is
+    flagged degenerate and returns the input unchanged. Entries must
+    already sit at the signal's sample rate.
     """
+    signal = buffer.samples.astype(np.float64)
     n = len(signal)
     aggregate = np.zeros(n, dtype=np.float64)
-    for samples, offset in segments:
-        take = min(len(samples), n - offset)
+    for entry, offset in picks:
+        take = min(len(entry.buffer), n - offset)
         if take > 0:
-            aggregate[offset : offset + take] += samples[:take]
+            aggregate[offset : offset + take] += entry.buffer.samples[:take].astype(np.float64)
+    ids = tuple(entry.id for entry, _ in picks)
+    offsets = tuple(offset for _, offset in picks)
     p_noise = float(np.sum(aggregate * aggregate))
     if p_noise == 0.0:
-        return signal.copy(), np.zeros(n), 0.0, 1.0, True
+        report = MixReport(ids, offsets, snr_db, 0.0, 1.0, True, np.zeros(n))
+        return AudioBuffer(buffer.samples, buffer.sample_rate), report
     p_signal = float(np.sum(signal * signal))
     gain = math.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
     track = gain * aggregate
     out = signal + track
     peak = float(np.max(np.abs(out))) if n else 0.0
     scale = 1.0 / peak if peak > 1.0 else 1.0
-    return out * scale, track, gain, scale, False
+    report = MixReport(ids, offsets, snr_db, gain, scale, False, track)
+    return AudioBuffer(out * scale, buffer.sample_rate), report
 
 
 def mix_noise(
@@ -331,28 +350,8 @@ def mix_noise(
                 f"signal is at {buffer.sample_rate} Hz; use bank.at_rate() first"
             )
 
-    segments: list[tuple[np.ndarray, int]] = []
-    ids: list[str] = []
-    offsets: list[int] = []
+    picks = []
     for _ in range(n_segments):
         entry = bank.entries[int(rng.integers(0, len(bank)))]
-        offset = int(rng.integers(0, n))
-        segments.append((entry.buffer.samples.astype(np.float64), offset))
-        ids.append(entry.id)
-        offsets.append(offset)
-
-    out, track, gain, scale, degenerate = _mix_segments(
-        buffer.samples.astype(np.float64), segments, snr_db
-    )
-    report = MixReport(
-        entry_ids=tuple(ids),
-        offsets=tuple(offsets),
-        snr_db=snr_db,
-        gain=gain,
-        peak_scale=scale,
-        degenerate=degenerate,
-        noise_track=track,
-    )
-    if degenerate:
-        return AudioBuffer(buffer.samples, buffer.sample_rate), report
-    return AudioBuffer(out, buffer.sample_rate), report
+        picks.append((entry, int(rng.integers(0, n))))
+    return mix_picks(buffer, picks, snr_db)

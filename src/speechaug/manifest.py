@@ -188,8 +188,8 @@ def build_manifest(
     and ordering cannot change any output), and written to
     ``out_dir/audio/<id>.wav``; the target sentence is spoken and collapsed
     into reduced units. Records land in the manifest in pair order. Pairs
-    whose port calls fail are logged, reported in the outcome and skipped;
-    the manifest holds only successes.
+    whose port calls fail are logged, reported in the outcome (also in pair
+    order) and skipped; the manifest holds only successes.
     """
     out_path = Path(out_dir)
     audio_dir = out_path / "audio"
@@ -212,7 +212,7 @@ def build_manifest(
         )
 
     results: list[ManifestRecord | None] = [None] * len(pairs)
-    failures: list[tuple[str, str]] = []
+    errors: list[str | None] = [None] * len(pairs)
 
     limit = max(1, workers)
     declared = getattr(synthesizer, "max_concurrency", None)
@@ -225,7 +225,7 @@ def build_manifest(
             results[i] = record
         except (PortError, SpeechAugError) as err:
             log.warning("skipping pair %s: %s", pair.id, err)
-            failures.append((pair.id, str(err)))
+            errors[i] = str(err)
 
     if limit == 1:
         for i, pair in enumerate(pairs):
@@ -235,6 +235,7 @@ def build_manifest(
             list(pool.map(run_one, range(len(pairs)), pairs))
 
     records = [r for r in results if r is not None]
+    failures = [(pair.id, err) for pair, err in zip(pairs, errors) if err is not None]
     manifest_path = out_path / "manifest.jsonl"
     write_manifest(records, manifest_path)
     return BuildOutcome(manifest_path=manifest_path, records=records, failures=failures)

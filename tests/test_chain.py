@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from speechaug import (
     ChainStageError,
     EffectSpec,
     EmptyNoiseBank,
+    StageTrace,
     apply_chain,
     apply_lowpass,
     apply_pitch,
@@ -22,6 +25,7 @@ from speechaug import (
     save_chain,
     utterance_seed,
 )
+from speechaug.chain import EFFECTS
 
 from conftest import make_noise_bank, make_sine
 
@@ -217,11 +221,43 @@ class TestTraceAndReplay:
         revived = AppliedTrace.from_json(trace.to_json())
         assert replay_trace(config, buffer, revived, bank) == out
 
-    def test_replay_checks_shape(self, buffer):
+    def test_replay_checks_shape(self, buffer, bank):
         config = default_chain(0)
         bad = AppliedTrace("u", ())
         with pytest.raises(ValueError):
             replay_trace(config, buffer, bad)
+
+        every = certain(config)
+        _, trace = apply_chain(every, buffer, "u", bank)
+        speed, pitch, lowpass, noise = trace.stages
+        nope = ["nope"] * len(noise.params["entries"])
+        unknown_entry = StageTrace(4, "noise_mix", True, {**noise.params, "entries": nope})
+        for stages in (
+            (speed, pitch, lowpass, replace(noise, index=0)),
+            (speed, pitch, lowpass, replace(noise, index=5)),
+            (speed, pitch, lowpass, lowpass),
+            (speed, pitch, lowpass, unknown_entry),
+        ):
+            with pytest.raises(ValueError):
+                replay_trace(every, buffer, AppliedTrace("u", stages), bank)
+
+    def test_every_kind_replays_through_the_table(self):
+        # a 22.05 kHz signal and a 16 kHz bank, so the noise stage also
+        # exercises the bank's rate conversion
+        signal = make_sine(440.0, 0.6, 22050, amplitude=0.4)
+        bank16 = make_noise_bank(3, 16000, np.random.default_rng(8))
+        ranges = {
+            "speed": (0.95, 1.05),
+            "pitch": (0.95, 1.05),
+            "lowpass": (300.0, 1000.0),
+            "noise_mix": (25.0, 35.0),
+        }
+        for kind in EFFECTS:
+            config = ChainConfig((EffectSpec(kind, 1.0, ranges[kind]),), 6)
+            out, trace = apply_chain(config, signal, "solo", bank16)
+            assert trace.stages[0].applied
+            revived = AppliedTrace.from_json(trace.to_json())
+            assert replay_trace(config, signal, revived, bank16) == out, kind
 
 
 class TestConfigFile:

@@ -128,6 +128,21 @@ class TestAugment:
         assert not (out_dir / "broken.wav").exists()
         assert (out_dir / "utt0.wav").exists()
 
+    def test_bad_input_with_bank_fails_alone(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=1)
+        (in_dir / "junk.wav").write_bytes(b"RIFF\x0c\x00\x00\x00WAVEjunk")
+        noise = write_noise_dir(tmp_path / "noise")
+        out_dir = tmp_path / "out"
+        code = main([
+            "augment", "--in", str(in_dir), "--out", str(out_dir),
+            "--seed", "7", "--noise-dir", str(noise),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out) == {"processed": 1, "failed": 1}
+        assert (out_dir / "utt0.wav").exists()
+        assert not (out_dir / "junk.wav").exists()
+
     def test_missing_input_dir(self, tmp_path):
         assert main([
             "augment", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "out"),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -307,6 +309,41 @@ class TestNoiseBank:
         bank8 = bank.at_rate(8000)
         assert all(e.buffer.sample_rate == 8000 for e in bank8.entries)
         assert bank.at_rate(16000) is bank
+
+    def test_at_rate_converts_once_per_rate(self, rng, monkeypatch):
+        import speechaug.effects as effects_module
+
+        calls = []
+        real_resample = effects_module.resample
+
+        def counting_resample(buffer, rate):
+            calls.append(rate)
+            return real_resample(buffer, rate)
+
+        monkeypatch.setattr(effects_module, "resample", counting_resample)
+        bank = make_noise_bank(3, 16000, rng)
+        start = threading.Barrier(4)
+        got = []
+
+        def ask():
+            start.wait(timeout=10)
+            got.append(bank.at_rate(22050))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 4 and all(b is got[0] for b in got)
+        assert calls == [22050] * len(bank)
+        assert bank.at_rate(22050) is got[0]
+        assert len(calls) == len(bank)
 
     def test_duplicate_ids_rejected(self, rng):
         e = NoiseEntry("x", AudioBuffer(rng.normal(0, 0.1, 100), 16000))

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,19 @@ class TestBuildManifest:
         assert outcome.failures[0][0] == pairs[1].id
         assert not (tmp_path / "audio" / f"{pairs[1].id}.wav").exists()
         assert len(read_manifest(outcome.manifest_path)) == 2
+
+    def test_failures_come_out_in_pair_order(self, tmp_path):
+        class SlowRefusal(MockSynthesizer):
+            # pair 0 sleeps longest, so threads finish in reverse pair order
+            def synthesize(self, sentence, language):
+                time.sleep(0.05 * (4 - int(sentence.split()[-1])))
+                raise PortError("refused by test double")
+
+        pairs = [TextPair(id=f"p{i}", source=f"line {i}", target=f"{i}") for i in range(4)]
+        outcome = build_manifest(
+            pairs, SlowRefusal(), MockUnitizer(50), tmp_path, chain=None, workers=4
+        )
+        assert [pair_id for pair_id, _ in outcome.failures] == ["p0", "p1", "p2", "p3"]
 
     def test_respects_synthesizer_concurrency_cap(self, tmp_path):
         class SerialSynth(MockSynthesizer):
