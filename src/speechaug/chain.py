@@ -255,7 +255,7 @@ def _apply_noise(
     try:
         picks = [
             (aligned.entry(eid), int(offset))
-            for eid, offset in zip(params["entries"], params["offsets"])
+            for eid, offset in zip(params["entries"], params["offsets"], strict=True)
         ]
     except KeyError as err:
         raise ValueError(err.args[0]) from None

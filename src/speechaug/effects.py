@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import sosfilt
 
 from .audio import AudioBuffer, _resample_ratio, load_wav, resample
 from .errors import (
@@ -126,32 +125,36 @@ def apply_pitch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     return AudioBuffer(y, buffer.sample_rate)
 
 
-def _butter4_sos(cutoff_hz: float, sample_rate: int) -> np.ndarray:
-    """Coefficients of a 4th-order Butterworth low-pass as two biquads.
-
-    Bilinear transform with frequency prewarping, so the -3 dB point lands
-    exactly on ``cutoff_hz``.
-    """
-    k = math.tan(math.pi * cutoff_hz / sample_rate)
-    k2 = k * k
-    sections = []
-    for q in _BUTTER4_Q:
-        norm = 1.0 / (1.0 + k / q + k2)
-        b0 = k2 * norm
-        sections.append(
-            [b0, 2.0 * b0, b0, 1.0, 2.0 * (k2 - 1.0) * norm, (1.0 - k / q + k2) * norm]
-        )
-    return np.asarray(sections, dtype=np.float64)
-
-
 def apply_lowpass(buffer: AudioBuffer, cutoff_hz: float) -> AudioBuffer:
-    """4th-order Butterworth low-pass at ``cutoff_hz``. Length is preserved."""
+    """4th-order Butterworth low-pass at ``cutoff_hz``. Length is preserved.
+
+    Two biquads from the bilinear transform with frequency prewarping, so the
+    -3 dB point lands exactly on ``cutoff_hz``. Each runs in direct form II
+    transposed from a zero state, with the products and sums of scipy's
+    ``sosfilt`` in the same order, so the output matches it bit for bit.
+    """
     if not (0.0 < cutoff_hz < buffer.sample_rate / 2.0):
         raise CutoffAboveNyquist(
             f"cutoff {cutoff_hz} Hz outside (0, {buffer.sample_rate / 2}) Hz"
         )
-    y = sosfilt(_butter4_sos(cutoff_hz, buffer.sample_rate), buffer.samples.astype(np.float64))
-    return AudioBuffer(y, buffer.sample_rate)
+    k = math.tan(math.pi * cutoff_hz / buffer.sample_rate)
+    k2 = k * k
+    x = buffer.samples.astype(np.float64).tolist()
+    for q in _BUTTER4_Q:
+        norm = 1.0 / (1.0 + k / q + k2)
+        b0 = b2 = k2 * norm
+        b1 = 2.0 * b0
+        a1 = 2.0 * (k2 - 1.0) * norm
+        a2 = (1.0 - k / q + k2) * norm
+        y = [0.0] * len(x)
+        z1 = z2 = 0.0
+        for i, v in enumerate(x):
+            out = b0 * v + z1
+            z1 = b1 * v - a1 * out + z2
+            z2 = b2 * v - a2 * out
+            y[i] = out
+        x = y
+    return AudioBuffer(np.array(x, dtype=np.float64), buffer.sample_rate)
 
 
 def _samples_of(signal: AudioBuffer | np.ndarray) -> np.ndarray:
@@ -295,15 +298,17 @@ def mix_picks(
     scaled so the mixed SNR equals ``snr_db`` exactly, and the whole output
     is rescaled by 1/peak if the sum leaves [-1, 1]. A silent aggregate is
     flagged degenerate and returns the input unchanged. Entries must
-    already sit at the signal's sample rate.
+    already sit at the signal's sample rate; an offset outside
+    [0, len(buffer)) raises ValueError.
     """
     signal = buffer.samples.astype(np.float64)
     n = len(signal)
     aggregate = np.zeros(n, dtype=np.float64)
     for entry, offset in picks:
+        if not 0 <= offset < n:
+            raise ValueError(f"noise entry {entry.id!r} offset {offset} outside [0, {n})")
         take = min(len(entry.buffer), n - offset)
-        if take > 0:
-            aggregate[offset : offset + take] += entry.buffer.samples[:take].astype(np.float64)
+        aggregate[offset : offset + take] += entry.buffer.samples[:take].astype(np.float64)
     ids = tuple(entry.id for entry, _ in picks)
     offsets = tuple(offset for _, offset in picks)
     p_noise = float(np.sum(aggregate * aggregate))

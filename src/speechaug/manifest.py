@@ -132,7 +132,6 @@ def _build_one(
     origin: str,
     augment_source: bool,
     augment_target: bool,
-    wav_encoding: str,
 ) -> tuple[ManifestRecord, AppliedTrace | None]:
     source_audio = synthesizer.synthesize(pair.source, src_lang)
     target_audio = synthesizer.synthesize(pair.target, tgt_lang)
@@ -145,7 +144,7 @@ def _build_one(
         target_audio, _ = apply_chain(chain, target_audio, f"{pair.id}:tgt", bank)
     units = reduce_units(unitizer.unitize(target_audio))
     wav_path = audio_dir / f"{pair.id}.wav"
-    save_wav(source_audio, wav_path, encoding=wav_encoding)
+    save_wav(source_audio, wav_path, encoding="float32")
     record = ManifestRecord(
         id=pair.id,
         source_audio=f"audio/{pair.id}.wav",
@@ -178,7 +177,6 @@ def build_manifest(
     origin: str = "text_aug",
     augment_source: bool = True,
     augment_target: bool = False,
-    wav_encoding: str = "float32",
     workers: int = 1,
 ) -> BuildOutcome:
     """Synthesize, optionally perturb, unitize and index a pair list.
@@ -195,22 +193,6 @@ def build_manifest(
     audio_dir = out_path / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
 
-    def task(pair: TextPair) -> tuple[ManifestRecord, AppliedTrace | None]:
-        return _build_one(
-            pair,
-            synthesizer,
-            unitizer,
-            chain,
-            bank,
-            audio_dir,
-            src_lang,
-            tgt_lang,
-            origin,
-            augment_source,
-            augment_target,
-            wav_encoding,
-        )
-
     results: list[ManifestRecord | None] = [None] * len(pairs)
     errors: list[str | None] = [None] * len(pairs)
 
@@ -221,8 +203,19 @@ def build_manifest(
 
     def run_one(i: int, pair: TextPair) -> None:
         try:
-            record, _trace = task(pair)
-            results[i] = record
+            results[i], _trace = _build_one(
+                pair,
+                synthesizer,
+                unitizer,
+                chain,
+                bank,
+                audio_dir,
+                src_lang,
+                tgt_lang,
+                origin,
+                augment_source,
+                augment_target,
+            )
         except (PortError, SpeechAugError) as err:
             log.warning("skipping pair %s: %s", pair.id, err)
             errors[i] = str(err)

@@ -128,6 +128,9 @@ class MockSynthesizer:
         return AudioBuffer(waves.ravel(), self.sample_rate)
 
 
+_MOCK_UNIT_HOP_S = 0.02
+
+
 class MockUnitizer:
     """Frames the signal with a 20 ms hop and quantizes each frame's RMS
     into ``vocabulary_size`` uniform bins over [0, 1]. Silence is unit 0.
@@ -135,16 +138,13 @@ class MockUnitizer:
     samples. Output is unreduced: one unit per frame.
     """
 
-    def __init__(self, vocabulary_size: int, hop_seconds: float = 0.02):
+    def __init__(self, vocabulary_size: int):
         if vocabulary_size < 2:
             raise ValueError("vocabulary_size must be at least 2")
-        if hop_seconds <= 0:
-            raise ValueError("hop_seconds must be positive")
         self.vocabulary_size = vocabulary_size
-        self.hop_seconds = hop_seconds
 
     def unitize(self, buffer: AudioBuffer) -> UnitSequence:
-        hop = max(1, round(self.hop_seconds * buffer.sample_rate))
+        hop = max(1, round(_MOCK_UNIT_HOP_S * buffer.sample_rate))
         x = buffer.samples.astype(np.float64)
         n = len(x)
         if n == 0:

@@ -230,13 +230,20 @@ class TestTraceAndReplay:
         every = certain(config)
         _, trace = apply_chain(every, buffer, "u", bank)
         speed, pitch, lowpass, noise = trace.stages
-        nope = ["nope"] * len(noise.params["entries"])
-        unknown_entry = StageTrace(4, "noise_mix", True, {**noise.params, "entries": nope})
+        entries, offsets = noise.params["entries"], noise.params["offsets"]
+
+        def noise_with(**params):
+            return StageTrace(4, "noise_mix", True, {**noise.params, **params})
+
         for stages in (
             (speed, pitch, lowpass, replace(noise, index=0)),
             (speed, pitch, lowpass, replace(noise, index=5)),
             (speed, pitch, lowpass, lowpass),
-            (speed, pitch, lowpass, unknown_entry),
+            (speed, pitch, lowpass, noise_with(entries=["nope"] * len(entries))),
+            (speed, pitch, lowpass, noise_with(offsets=[-100] + offsets[1:])),
+            (speed, pitch, lowpass, noise_with(offsets=[len(buffer) + 5] + offsets[1:])),
+            (speed, pitch, lowpass, noise_with(offsets=offsets[:-1])),
+            (speed, pitch, lowpass, noise_with(entries=entries + [entries[0]])),
         ):
             with pytest.raises(ValueError):
                 replay_trace(every, buffer, AppliedTrace("u", stages), bank)

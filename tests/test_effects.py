@@ -137,6 +137,19 @@ class TestLowpass:
         rhs = a * apply_lowpass(AudioBuffer(x, 16000), 700.0).samples
         assert np.max(np.abs(lhs.astype(np.float64) - rhs.astype(np.float64))) <= 1e-6
 
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+    def test_matches_scipy_reference(self, rate):
+        signal = pytest.importorskip("scipy.signal")
+        gen = np.random.default_rng(rate)
+        for cutoff in (1.0, 0.01 * rate, 0.1 * rate, 0.3 * rate, 0.499 * rate):
+            sos = signal.butter(4, cutoff, fs=rate, output="sos")
+            for n in (1, 2, 999, 96000):
+                buf = AudioBuffer(gen.uniform(-0.5, 0.5, n), rate)
+                # buffers hold float32 clamped to [-1, 1]
+                ref = np.clip(signal.sosfilt(sos, buf.samples.astype(np.float64)), -1.0, 1.0)
+                out = apply_lowpass(buf, cutoff).samples
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=50.0, max_value=3900.0), st.integers(min_value=10, max_value=3000))
     def test_never_emits_nan_or_overrange(self, cutoff, n):
