@@ -246,9 +246,6 @@ def _resolve_noise(
 def _apply_noise(
     buffer: AudioBuffer, params: Params, bank: NoiseBank | None
 ) -> tuple[AudioBuffer, Params]:
-    if params.get("degenerate"):
-        # the recorded mix left its input unchanged; repeating that needs no bank
-        return buffer, params
     if bank is None or len(bank) == 0:
         raise EmptyNoiseBank("a noise stage needs the bank its entries came from")
     aligned = bank.at_rate(buffer.sample_rate)

@@ -15,7 +15,6 @@ import json
 import logging
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .ports import (
     MockUnitizer,
     SubprocessSynthesizer,
     SubprocessTranslator,
+    ordered_map,
 )
 from .textpipe import (
     FilterPolicy,
@@ -67,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_chain_config(args: argparse.Namespace) -> ChainConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             config = load_chain(args.config)
         except (OSError, ValueError) as err:
@@ -78,16 +78,14 @@ def _load_chain_config(args: argparse.Namespace) -> ChainConfig:
 
 
 def _load_bank(args: argparse.Namespace) -> NoiseBank | None:
-    noise_dir = getattr(args, "noise_dir", None)
-    noise_manifest = getattr(args, "noise_manifest", None)
     try:
-        if noise_dir is not None:
-            bank = NoiseBank.from_dir(noise_dir)
+        if args.noise_dir is not None:
+            bank = NoiseBank.from_dir(args.noise_dir)
             if len(bank) == 0:
-                raise CliError(f"no WAV files under {noise_dir}")
+                raise CliError(f"no WAV files under {args.noise_dir}")
             return bank
-        if noise_manifest is not None:
-            return NoiseBank.from_manifest(noise_manifest)
+        if args.noise_manifest is not None:
+            return NoiseBank.from_manifest(args.noise_manifest)
     except SpeechAugError as err:
         raise CliError(f"cannot load noise bank: {err}") from err
     return None
@@ -117,12 +115,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         except SpeechAugError as err:
             return path.name, None, str(err)
 
-    workers = max(1, args.workers)
-    if workers == 1:
-        outcomes = [process(f) for f in files]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(process, files))
+    outcomes = ordered_map(process, files, args.workers)
 
     failures = [(name, err) for name, _, err in outcomes if err is not None]
     with open(out_dir / "traces.jsonl", "w", encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -21,7 +20,7 @@ from .audio import AudioBuffer, save_wav
 from .chain import AppliedTrace, ChainConfig, apply_chain
 from .effects import NoiseBank
 from .errors import EmptyCorpus, MalformedManifest, PortError, SpeechAugError
-from .ports import SynthesizerPort, UnitizerPort, UnitSequence, reduce_units
+from .ports import SynthesizerPort, UnitizerPort, UnitSequence, ordered_map, reduce_units
 from .textpipe import TextPair
 
 log = logging.getLogger(__name__)
@@ -193,17 +192,9 @@ def build_manifest(
     audio_dir = out_path / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
 
-    results: list[ManifestRecord | None] = [None] * len(pairs)
-    errors: list[str | None] = [None] * len(pairs)
-
-    limit = max(1, workers)
-    declared = getattr(synthesizer, "max_concurrency", None)
-    if declared is not None:
-        limit = min(limit, max(1, declared))
-
-    def run_one(i: int, pair: TextPair) -> None:
+    def run_one(pair: TextPair) -> tuple[ManifestRecord | None, str | None]:
         try:
-            results[i], _trace = _build_one(
+            record, _trace = _build_one(
                 pair,
                 synthesizer,
                 unitizer,
@@ -218,17 +209,12 @@ def build_manifest(
             )
         except (PortError, SpeechAugError) as err:
             log.warning("skipping pair %s: %s", pair.id, err)
-            errors[i] = str(err)
+            return None, str(err)
+        return record, None
 
-    if limit == 1:
-        for i, pair in enumerate(pairs):
-            run_one(i, pair)
-    else:
-        with ThreadPoolExecutor(max_workers=limit) as pool:
-            list(pool.map(run_one, range(len(pairs)), pairs))
-
-    records = [r for r in results if r is not None]
-    failures = [(pair.id, err) for pair, err in zip(pairs, errors) if err is not None]
+    outcomes = ordered_map(run_one, pairs, workers)
+    records = [record for record, _ in outcomes if record is not None]
+    failures = [(pair.id, err) for pair, (_, err) in zip(pairs, outcomes) if err is not None]
     manifest_path = out_path / "manifest.jsonl"
     write_manifest(records, manifest_path)
     return BuildOutcome(manifest_path=manifest_path, records=records, failures=failures)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import subprocess
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -23,20 +25,24 @@ from .errors import EmptyText, MockRejected, PortError
 
 @runtime_checkable
 class TranslatorPort(Protocol):
-    """Synchronous text translation. ``max_concurrency`` is None when the
-    implementation is safe for unlimited concurrent calls, else the cap."""
+    """Synchronous text translation.
 
-    max_concurrency: int | None
+    A port is safe to call from any number of threads; a port that needs
+    serial calls serializes itself.
+    """
 
     def translate(self, sentence: str, from_language: str, to_language: str) -> str: ...
 
 
 @runtime_checkable
 class SynthesizerPort(Protocol):
-    """Text to speech at a fixed sample rate."""
+    """Text to speech at a fixed sample rate.
+
+    A port is safe to call from any number of threads; a port that needs
+    serial calls serializes itself.
+    """
 
     sample_rate: int
-    max_concurrency: int | None
 
     def synthesize(self, sentence: str, language: str) -> AudioBuffer: ...
 
@@ -87,8 +93,6 @@ class MockTranslator:
     Refuses inputs with no tokens.
     """
 
-    max_concurrency: int | None = None
-
     def __init__(self, tag_output: bool = True):
         self.tag_output = tag_output
 
@@ -109,8 +113,6 @@ class MockSynthesizer:
     with amplitude 0.3, so output duration is exactly 0.05 * len(sentence)
     seconds and identical characters produce identical segments.
     """
-
-    max_concurrency: int | None = None
 
     def __init__(self, sample_rate: int = 16000):
         if sample_rate <= 0:
@@ -163,8 +165,30 @@ class MockUnitizer:
         return UnitSequence(tuple(units), reduced=False)
 
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+    """``[fn(item) for item in items]``, on up to ``workers`` threads.
+
+    Results come back in input order whatever order the threads finish in.
+    At one worker (or fewer) the items run serially in the calling thread,
+    with no pool and no futures.
+    """
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 class _LineProcess:
-    """A child process spoken to one line at a time over stdin/stdout."""
+    """A child process spoken to one line at a time over stdin/stdout.
+
+    Requests from any number of threads are serialized: each holds the lock
+    from its liveness check to its answer, so every caller reads the line
+    answering its own request.
+    """
 
     def __init__(self, command: Sequence[str]):
         if not command:
@@ -177,17 +201,19 @@ class _LineProcess:
             text=True,
             bufsize=1,
         )
+        self._lock = threading.Lock()
 
     def request(self, line: str) -> str:
         if "\n" in line:
             raise ValueError("protocol lines must not contain newlines")
         proc = self._proc
-        if proc.poll() is not None:
-            raise PortError(f"{self.command[0]} exited with code {proc.returncode}")
         assert proc.stdin is not None and proc.stdout is not None
-        proc.stdin.write(line + "\n")
-        proc.stdin.flush()
-        response = proc.stdout.readline()
+        with self._lock:
+            if proc.poll() is not None:
+                raise PortError(f"{self.command[0]} exited with code {proc.returncode}")
+            proc.stdin.write(line + "\n")
+            proc.stdin.flush()
+            response = proc.stdout.readline()
         if response == "":
             raise PortError(f"{self.command[0]} closed its stdout mid-conversation")
         return response.rstrip("\n")
@@ -205,11 +231,10 @@ class SubprocessTranslator:
 
     Protocol: one request per line on the child's stdin,
     ``from_lang<TAB>to_lang<TAB>sentence``, answered by exactly one
-    translated line on its stdout. The child must answer requests in order;
-    calls are therefore serialized (max_concurrency is 1).
+    translated line on its stdout. The child handles one line at a time;
+    the adapter serializes requests itself, so it may be called from any
+    number of threads.
     """
-
-    max_concurrency: int | None = 1
 
     def __init__(self, command: Sequence[str]):
         self._proc = _LineProcess(command)
@@ -235,9 +260,10 @@ class SubprocessSynthesizer:
     ``language<TAB>sentence``, answered by one line holding the path of a
     WAV file the child has finished writing. The file is loaded and, if its
     rate differs from the adapter's declared ``sample_rate``, resampled.
+    Requests are serialized like the translator's, but the file is read
+    after the lock is released, so each answer must name a file the child
+    does not rewrite later.
     """
-
-    max_concurrency: int | None = 1
 
     def __init__(self, command: Sequence[str], sample_rate: int = 16000):
         if sample_rate <= 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import PortError
-from .ports import TranslatorPort
+from .ports import TranslatorPort, ordered_map
 
 
 class RejectReason(str, Enum):
@@ -214,10 +213,9 @@ def run_text_stage(
     Each kept pair has the translation as its source side and the cleaned
     original as its target side. Pair ids encode the original line number,
     so they are stable across runs and insensitive to how many earlier
-    lines were rejected. Translation runs through a bounded thread pool
-    (``max_in_flight``, further capped by the port's declared
-    max_concurrency); results are re-ordered by line number afterwards, so
-    concurrency never changes the output.
+    lines were rejected. Translation runs on up to ``max_in_flight``
+    threads; results come back in line order, so concurrency never changes
+    the output.
     """
     policy = policy or FilterPolicy()
     stats = RejectionStats(input_sentences=len(corpus))
@@ -229,22 +227,13 @@ def run_text_stage(
             continue
         survivors.append((idx, result.text))
 
-    limit = max(1, max_in_flight)
-    declared = getattr(translator, "max_concurrency", None)
-    if declared is not None:
-        limit = min(limit, max(1, declared))
-
     def _translate(text: str) -> str | PortError:
         try:
             return translator.translate(text, corpus.language, to_language)
         except PortError as err:
             return err
 
-    if limit == 1:
-        outcomes: Iterable[str | PortError] = [_translate(t) for _, t in survivors]
-    else:
-        with ThreadPoolExecutor(max_workers=limit) as pool:
-            outcomes = list(pool.map(_translate, [t for _, t in survivors]))
+    outcomes = ordered_map(_translate, [t for _, t in survivors], max_in_flight)
 
     pairs: list[TextPair] = []
     for (idx, target_text), outcome in zip(survivors, outcomes):

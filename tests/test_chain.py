@@ -14,6 +14,8 @@ from speechaug import (
     ChainStageError,
     EffectSpec,
     EmptyNoiseBank,
+    NoiseBank,
+    NoiseEntry,
     StageTrace,
     apply_chain,
     apply_lowpass,
@@ -244,9 +246,20 @@ class TestTraceAndReplay:
             (speed, pitch, lowpass, noise_with(offsets=[len(buffer) + 5] + offsets[1:])),
             (speed, pitch, lowpass, noise_with(offsets=offsets[:-1])),
             (speed, pitch, lowpass, noise_with(entries=entries + [entries[0]])),
+            (speed, pitch, lowpass, noise_with(degenerate=True, entries=["nope"], offsets=[-5])),
         ):
             with pytest.raises(ValueError):
                 replay_trace(every, buffer, AppliedTrace("u", stages), bank)
+
+    def test_degenerate_mix_replays_with_its_bank(self, buffer):
+        # an all-zero entry leaves the aggregate silent, so the mix is a no-op
+        silent = NoiseBank([NoiseEntry("zeros", AudioBuffer(np.zeros(4000), 16000))])
+        config = ChainConfig((EffectSpec("noise_mix", 1.0, (5.0, 15.0)),), 3)
+        out, trace = apply_chain(config, buffer, "u", silent)
+        assert trace.stages[0].params["degenerate"] is True
+        assert out == buffer
+        revived = AppliedTrace.from_json(trace.to_json())
+        assert replay_trace(config, buffer, revived, silent) == out
 
     def test_every_kind_replays_through_the_table(self):
         # a 22.05 kHz signal and a 16 kHz bank, so the noise stage also

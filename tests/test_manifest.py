@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from speechaug import (
     MockUnitizer,
     PortError,
     SamplerConfig,
+    SubprocessSynthesizer,
     TextPair,
     UnitSequence,
     apply_speed,
@@ -179,6 +182,29 @@ class FailingSynthesizer(MockSynthesizer):
         return super().synthesize(sentence, language)
 
 
+# Writes one fresh 16 kHz PCM16 file per request, a 10 ms tone per
+# character, so each sentence has audio of its own.
+TONE_ENGINE = """
+    import math, os, struct, sys
+
+    out_dir = sys.argv[1]
+    os.makedirs(out_dir, exist_ok=True)
+    for count, line in enumerate(sys.stdin):
+        sentence = line.rstrip("\\n").split("\\t")[1]
+        frames = b"".join(
+            struct.pack("<h", round(9000 * math.sin(2 * math.pi * (200 + ord(ch)) * i / 16000)))
+            for ch in sentence
+            for i in range(160)
+        )
+        path = f"{out_dir}/utt{count}.wav"
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVE")
+            fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16))
+            fh.write(b"data" + struct.pack("<I", len(frames)) + frames)
+        print(path, flush=True)
+"""
+
+
 class TestBuildManifest:
     def test_records_follow_pair_order(self, tmp_path):
         pairs = some_pairs()
@@ -298,6 +324,33 @@ class TestBuildManifest:
                 tmp_path / "w4" / rec.source_audio
             ).read_bytes()
 
+    def test_worker_count_does_not_change_subprocess_output(self, tmp_path):
+        engine = tmp_path / "tts.py"
+        engine.write_text(textwrap.dedent(TONE_ENGINE))
+        chain = default_chain(global_seed=11)
+        bank = make_noise_bank(3, 16000, np.random.default_rng(5))
+        pairs = [
+            TextPair(id=f"p{i:08d}", source=f"sentence number {i}", target=f"{i} number sentence")
+            for i in range(12)
+        ]
+        outcomes = []
+        for workers in (1, 4):
+            out = tmp_path / f"w{workers}"
+            with SubprocessSynthesizer([sys.executable, str(engine), str(out / "engine")]) as synth:
+                outcomes.append(
+                    build_manifest(
+                        pairs, synth, MockUnitizer(50), out, chain=chain, bank=bank, workers=workers
+                    )
+                )
+        serial, threaded = outcomes
+        assert serial.failures == threaded.failures == []
+        assert serial.records == threaded.records
+        assert serial.manifest_path.read_bytes() == threaded.manifest_path.read_bytes()
+        for rec in serial.records:
+            assert (tmp_path / "w1" / rec.source_audio).read_bytes() == (
+                tmp_path / "w4" / rec.source_audio
+            ).read_bytes()
+
     def test_port_failures_are_skipped_and_reported(self, tmp_path):
         pairs = some_pairs()
         pairs[1] = TextPair(id=pairs[1].id, source="boom here", target="kaboom")
@@ -322,31 +375,6 @@ class TestBuildManifest:
             pairs, SlowRefusal(), MockUnitizer(50), tmp_path, chain=None, workers=4
         )
         assert [pair_id for pair_id, _ in outcome.failures] == ["p0", "p1", "p2", "p3"]
-
-    def test_respects_synthesizer_concurrency_cap(self, tmp_path):
-        class SerialSynth(MockSynthesizer):
-            max_concurrency = 1
-
-            def __init__(self):
-                super().__init__()
-                self.active = 0
-                self.peak = 0
-
-            def synthesize(self, sentence, language):
-                self.active += 1
-                self.peak = max(self.peak, self.active)
-                try:
-                    return super().synthesize(sentence, language)
-                finally:
-                    self.active -= 1
-
-        synth = SerialSynth()
-        pairs = [
-            TextPair(id=f"p{i:08d}", source=f"line {i}", target=f"{i} line")
-            for i in range(12)
-        ]
-        build_manifest(pairs, synth, MockUnitizer(50), tmp_path, chain=None, workers=8)
-        assert synth.peak == 1
 
     def test_origin_is_recorded(self, tmp_path):
         outcome = build_manifest(

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import speechaug
 from speechaug import (
     AudioBuffer,
     EmptyText,
@@ -235,11 +239,6 @@ class TestSubprocessTranslator:
             with pytest.raises(PortError):
                 port.translate("second", "a", "b")
 
-    def test_declares_serial_concurrency(self, tmp_path):
-        cmd = write_child(tmp_path, "mt.py", TRANSLATOR_CHILD)
-        with SubprocessTranslator(cmd) as port:
-            assert port.max_concurrency == 1
-
 
 def synth_child_source(tmp_path) -> str:
     return f"""
@@ -294,3 +293,73 @@ class TestSubprocessSynthesizer:
     def test_rejects_bad_rate(self, tmp_path):
         with pytest.raises(ValueError):
             SubprocessSynthesizer(["true"], sample_rate=-1)
+
+
+# Answers a request "language<TAB>n" with a fresh 8 kHz WAV of n samples.
+COUNTING_SYNTH_CHILD = """
+    import struct, sys
+
+    out_dir = sys.argv[1]
+    for count, line in enumerate(sys.stdin):
+        n = int(line.rstrip("\\n").split("\\t")[1])
+        frames = struct.pack(f"<{n}h", *range(n))
+        path = f"{out_dir}/utt{count}.wav"
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVE")
+            fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16))
+            fh.write(b"data" + struct.pack("<I", len(frames)) + frames)
+        print(path, flush=True)
+"""
+
+# Eight threads share one translator and one synthesizer; prints how many
+# of the 800 calls got the answer to their own request.
+EIGHT_THREAD_CALLER = """
+    import sys, threading
+    from speechaug import SubprocessSynthesizer, SubprocessTranslator
+
+    mt_script, tts_script, out_dir = sys.argv[1:]
+    translator = SubprocessTranslator([sys.executable, mt_script])
+    synthesizer = SubprocessSynthesizer([sys.executable, tts_script, out_dir], sample_rate=8000)
+    own_answers = []
+
+    def caller(t):
+        for i in range(50):
+            if translator.translate(f"t{t} c{i}", "en", "de") == f"de:T{t} C{i}":
+                own_answers.append(1)
+            n = 1 + 50 * t + i
+            if len(synthesizer.synthesize(str(n), "en").samples) == n:
+                own_answers.append(1)
+
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=caller, args=(t,)) for t in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    translator.close()
+    synthesizer.close()
+    print(len(own_answers))
+"""
+
+
+def test_one_port_serves_many_threads(tmp_path):
+    # run in a child process: ports that do not serialize their requests
+    # deadlock here, and the timeout turns that into a failure
+    mt = write_child(tmp_path, "mt.py", TRANSLATOR_CHILD)[1]
+    tts = write_child(tmp_path, "tts.py", COUNTING_SYNTH_CHILD)[1]
+    caller = write_child(tmp_path, "caller.py", EIGHT_THREAD_CALLER)[1]
+    package_root = str(Path(speechaug.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, caller, mt, tts, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("800 calls from 8 threads on two ports did not finish in 60 s")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["800"], done.stderr

@@ -150,8 +150,6 @@ class TestFilterPair:
 class FlakyTranslator:
     """Fails on sentences containing a marker token."""
 
-    max_concurrency = None
-
     def __init__(self, marker: str = "boom"):
         self.marker = marker
         self.inner = MockTranslator(tag_output=False)
@@ -203,28 +201,6 @@ class TestRunTextStage:
         assert seq_stats.is_conserved()
         assert seq_pairs == par_pairs
         assert seq_stats.to_dict() == par_stats.to_dict()
-
-    def test_respects_declared_max_concurrency(self):
-        class SerialOnly(MockTranslator):
-            max_concurrency = 1
-
-            def __init__(self):
-                super().__init__(tag_output=False)
-                self.active = 0
-                self.peak = 0
-
-            def translate(self, sentence, from_language, to_language):
-                self.active += 1
-                self.peak = max(self.peak, self.active)
-                try:
-                    return super().translate(sentence, from_language, to_language)
-                finally:
-                    self.active -= 1
-
-        port = SerialOnly()
-        corpus = TextCorpus(tuple(f"word {i}" for i in range(40)), "tgt")
-        run_text_stage(corpus, port, "src", max_in_flight=16)
-        assert port.peak == 1
 
     def test_tagged_mock_keeps_its_prefix(self):
         corpus = TextCorpus(("good morning",), "tgt")
