@@ -4,10 +4,17 @@ Audio is held as float32 samples in [-1, 1] at an explicit sample rate.
 Files are read and written as RIFF/WAVE with either 16-bit PCM or 32-bit
 IEEE float payloads; everything else is refused with a typed error rather
 than decoded approximately.
+
+Sample-rate conversion, and the speed and pitch effects built on it, go
+through one kernel: a 64-tap Hann-windowed sinc tabulated at
+``RESAMPLE_PHASES`` fractional phases and linearly interpolated between
+them (Smith's bandlimited interpolation). The table for upsampling is built
+once per process; a downsampling call builds one for its own cutoff.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -23,10 +30,16 @@ PCM16_SCALE = 32768.0
 
 # Windowed-sinc kernel length. 64 taps keeps the resampler deterministic and
 # dependency-free while holding aliasing well below the tolerances of the
-# speed/pitch effects built on top of it.
+# speed/pitch effects built on top of it. The kernel is tabulated at
+# RESAMPLE_PHASES + 1 fractional phases between two input samples and read
+# by linear interpolation between neighbouring phases; at 2048 phases the
+# output stays within 3e-7 of the kernel evaluated exactly.
 RESAMPLE_TAPS = 64
+RESAMPLE_PHASES = 2048
 
-_RESAMPLE_BLOCK = 65536
+# Output samples per block: bounds the gathered windows and table rows held
+# at once (1024 x 192 float64, 1.5 MB).
+_RESAMPLE_BLOCK = 1024
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -192,10 +205,43 @@ def _round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
+def _phase_table(cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tabulate the resampling kernel at ``RESAMPLE_PHASES`` fractional phases.
+
+    Row ``p`` of the first array holds the 64 taps for a read position
+    ``p / RESAMPLE_PHASES`` past an input sample, followed by the difference
+    to row ``p + 1``, so one gather fetches both ends of the linear
+    interpolation. The second array holds the same two parts summed over the
+    taps, for the per-sample normalization.
+    """
+    half = RESAMPLE_TAPS // 2
+    offsets = np.arange(1 - half, half + 1, dtype=np.float64)
+    phases = np.arange(RESAMPLE_PHASES + 1, dtype=np.float64) / RESAMPLE_PHASES
+    delta = phases[:, None] - offsets[None, :]
+    kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * delta)
+    kernel *= 0.5 + 0.5 * np.cos((np.pi / half) * delta)
+    rows = np.stack([kernel[:-1], np.diff(kernel, axis=0)], axis=1)
+    sums = rows.sum(axis=2)
+    rows.setflags(write=False)
+    sums.setflags(write=False)
+    return rows, sums
+
+
+@functools.cache
+def _upsampling_table() -> tuple[np.ndarray, np.ndarray]:
+    # the cutoff is pinned at 0.5 for every ratio >= 1, so this table is
+    # shared by all upsampling calls; downsampling cutoffs vary per call
+    return _phase_table(0.5)
+
+
 def _resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
     """Resample a float array by an arbitrary rate ratio (out/in).
 
-    Windowed-sinc interpolation with a fixed 64-tap Hann-windowed kernel.
+    Bandlimited interpolation after Smith
+    (https://ccrma.stanford.edu/~jos/resample/): output sample ``j`` reads
+    the input at ``j / ratio`` through a 64-tap Hann-windowed sinc. The
+    kernel comes from a table of ``RESAMPLE_PHASES + 1`` fractional phases,
+    linearly interpolated between the two phases around the read position.
     When downsampling the sinc cutoff is lowered to the output Nyquist so
     the kernel doubles as the anti-aliasing filter. Each output sample is
     normalized by its kernel sum, which pins the passband gain at 1.
@@ -206,21 +252,23 @@ def _resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
         return np.zeros(max(n_out, 0), dtype=np.float64)
 
     half = RESAMPLE_TAPS // 2
-    offsets = np.arange(1 - half, half + 1, dtype=np.int64)
     cutoff = 0.5 * min(1.0, ratio)
+    rows, sums = _upsampling_table() if cutoff == 0.5 else _phase_table(cutoff)
+    # window w starts at input sample w - (half - 1); zeros stand in for
+    # samples before the start and past the end
+    padded = np.concatenate([np.zeros(half - 1), x, np.zeros(half)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, RESAMPLE_TAPS)
     out = np.empty(n_out, dtype=np.float64)
     for start in range(0, n_out, _RESAMPLE_BLOCK):
         stop = min(start + _RESAMPLE_BLOCK, n_out)
         pos = np.arange(start, stop, dtype=np.float64) / ratio
-        base = np.floor(pos).astype(np.int64)
-        idx = base[:, None] + offsets[None, :]
-        delta = pos[:, None] - idx
-        kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * delta)
-        kernel *= 0.5 + 0.5 * np.cos((np.pi / half) * delta)
-        inside = (idx >= 0) & (idx < n)
-        gathered = np.where(inside, x[np.clip(idx, 0, n - 1)], 0.0)
-        ksum = kernel.sum(axis=1)
-        out[start:stop] = (gathered * kernel).sum(axis=1) / np.maximum(ksum, 1e-12)
+        base = np.floor(pos)
+        phase = (pos - base) * RESAMPLE_PHASES
+        ip = phase.astype(np.int64)
+        eta = phase - ip
+        parts = np.einsum("ij,ikj->ik", windows[base.astype(np.int64)], rows[ip])
+        ksum = sums[ip, 0] + eta * sums[ip, 1]
+        out[start:stop] = (parts[:, 0] + eta * parts[:, 1]) / np.maximum(ksum, 1e-12)
     return out
 
 

@@ -9,6 +9,7 @@ README).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import subprocess
 import threading
@@ -219,11 +220,17 @@ class _LineProcess:
         return response.rstrip("\n")
 
     def close(self) -> None:
+        """Close both pipes and reap the child; end of input tells it to exit."""
         proc = self._proc
-        if proc.poll() is None:
-            if proc.stdin is not None:
-                proc.stdin.close()
+        assert proc.stdin is not None and proc.stdout is not None
+        # a child that already exited can fail the final flush; the pipe is
+        # closed all the same
+        with contextlib.suppress(BrokenPipeError):
+            proc.stdin.close()
+        try:
             proc.wait(timeout=10)
+        finally:
+            proc.stdout.close()
 
 
 class SubprocessTranslator:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from speechaug import (
     resample,
     save_wav,
 )
+from speechaug import audio
+from speechaug.effects import apply_speed
 
 from conftest import fft_peak_hz, make_sine
 
@@ -253,3 +257,90 @@ class TestResample:
         assert abs(len(out) - round(n * dst / src)) <= 1
         assert np.all(np.isfinite(out.samples))
         assert np.max(np.abs(out.samples)) <= 1.0
+
+
+def reference_resample(x: np.ndarray, ratio: float) -> np.ndarray:
+    """The resampling kernel evaluated exactly, one output sample at a time.
+
+    Output j reads the input at j / ratio. Tap offsets run from -31 to 32
+    around floor(j / ratio); a tap at distance delta weighs
+    2c*sinc(2c*delta) * (0.5 + 0.5*cos(pi*delta/32)) with c = 0.5*min(1, ratio).
+    Samples outside the input are zero, and each output is divided by its
+    kernel sum.
+    """
+    n = len(x)
+    n_out = int(math.floor(n * ratio + 0.5))
+    c = 0.5 * min(1.0, ratio)
+    out = np.empty(n_out)
+    for j in range(n_out):
+        pos = j / ratio
+        idx = math.floor(pos) + np.arange(-31, 33)
+        delta = pos - idx
+        kernel = 2 * c * np.sinc(2 * c * delta) * (0.5 + 0.5 * np.cos(np.pi * delta / 32))
+        taps = np.where((idx >= 0) & (idx < n), x[np.clip(idx, 0, n - 1)], 0.0)
+        out[j] = np.dot(taps, kernel) / kernel.sum()
+    return out
+
+
+class TestResampleKernel:
+    @pytest.mark.parametrize(
+        "ratio",
+        [1 / 0.95, 1 / 1.05, 0.5, 2.0, 22050 / 16000, 16000 / 22050, 16000 / 44100],
+        ids=["speed0.95", "speed1.05", "half", "double", "16k-22k", "22k-16k", "44k-16k"],
+    )
+    @pytest.mark.parametrize(
+        "n",
+        [1, 63, 64, 65, audio._RESAMPLE_BLOCK - 1, audio._RESAMPLE_BLOCK, audio._RESAMPLE_BLOCK + 1],
+    )
+    def test_matches_exact_kernel(self, n, ratio):
+        # full-scale white noise: every phase and every tap counts
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = audio._resample_ratio(x, ratio)
+        want = reference_resample(x, ratio)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    def test_rejects_alias_when_downsampling(self):
+        # 5.5 kHz lies above the 4 kHz Nyquist of the 8 kHz output, so the
+        # kernel must filter it out instead of folding it down to 2.5 kHz
+        tone = make_sine(5500.0, 1.0, 16000)
+        out = resample(tone, 8000).samples.astype(np.float64)[200:-200]
+        x = tone.samples.astype(np.float64)
+        power_db = 10.0 * math.log10(np.mean(out * out) / np.mean(x * x))
+        assert power_db <= -60.0
+
+    def test_cold_table_cache_under_threads(self):
+        buf = AudioBuffer(np.random.default_rng(7).uniform(-0.5, 0.5, 5000), 16000)
+        # upsampling (shared table) and downsampling (per-call table) mixed
+        calls = [
+            lambda: apply_speed(buf, 0.9),
+            lambda: apply_speed(buf, 1.1),
+            lambda: resample(buf, 22050),
+            lambda: resample(buf, 8000),
+        ]
+        serial = [call().samples.tobytes() for call in calls]
+
+        audio._upsampling_table.cache_clear()
+        results: dict[tuple[int, int], bytes] = {}
+        barrier = threading.Barrier(4)
+
+        def worker(t: int) -> None:
+            barrier.wait(timeout=30)
+            for k in range(len(calls)):
+                i = (t + k) % len(calls)
+                results[t, i] = calls[i]().samples.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 16
+        for (_t, i), got in results.items():
+            assert got == serial[i]
