@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import EmptyAudio, IoFailure, MalformedWav, UnsupportedEncoding
 
-DEFAULT_SAMPLE_RATE = 16000
-
 PCM16_SCALE = 32768.0
 
 # Windowed-sinc kernel length. 64 taps keeps the resampler deterministic and
@@ -213,13 +211,19 @@ def _phase_table(cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     to row ``p + 1``, so one gather fetches both ends of the linear
     interpolation. The second array holds the same two parts summed over the
     taps, for the per-sample normalization.
+
+    The kernel is even and the phases are dyadic, so ``(P - p) / P - o`` is
+    exactly ``-(p / P - (1 - o))``: row ``P - p`` is row ``p`` reversed.
+    Only the first half of the phases is evaluated; the rest is mirrored,
+    bit for bit.
     """
     half = RESAMPLE_TAPS // 2
     offsets = np.arange(1 - half, half + 1, dtype=np.float64)
-    phases = np.arange(RESAMPLE_PHASES + 1, dtype=np.float64) / RESAMPLE_PHASES
+    phases = np.arange(RESAMPLE_PHASES // 2 + 1, dtype=np.float64) / RESAMPLE_PHASES
     delta = phases[:, None] - offsets[None, :]
     kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * delta)
     kernel *= 0.5 + 0.5 * np.cos((np.pi / half) * delta)
+    kernel = np.concatenate([kernel, kernel[-2::-1, ::-1]])
     rows = np.stack([kernel[:-1], np.diff(kernel, axis=0)], axis=1)
     sums = rows.sum(axis=2)
     rows.setflags(write=False)

@@ -32,6 +32,11 @@ SPEED_FACTOR_MAX = 2.0
 # low-pass: 1/(2*cos(pi/8)) and 1/(2*cos(3*pi/8)).
 _BUTTER4_Q = (0.5411961001461970, 1.3065629648763764)
 
+# Samples per block of the block low-pass. The zero-state product costs L
+# multiply-adds per sample and the state scan one Python step per block;
+# on 0.5-3 s inputs 64 ran as fast as 48 and faster than 96 or 128.
+_LOWPASS_BLOCK = 64
+
 
 def _check_factor(factor: float) -> None:
     if not (SPEED_FACTOR_MIN <= factor <= SPEED_FACTOR_MAX):
@@ -125,36 +130,121 @@ def apply_pitch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     return AudioBuffer(y, buffer.sample_rate)
 
 
+def _biquad_blocks(
+    b0: float, b1: float, b2: float, a1: float, a2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block matrices of one biquad in direct form II transposed.
+
+    With state z = (z1, z2), the biquad is y = b0*x + z1 and z' = A z + B x,
+    where A = [[-a1, 1], [-a2, 0]] and B = (b1 - a1*b0, b2 - a2*b0). By
+    Cayley-Hamilton, A^i = p_i A + q_i I, with p_0 = 0, p_1 = 1,
+    p_(i+1) = -a1 p_i - a2 p_(i-1) and q_i = -a2 p_(i-1) (q_0 = 1), so one
+    scalar recursion gives every power of A the block form needs.
+
+    For L = ``_LOWPASS_BLOCK`` returns the impulse response (L), the
+    zero-input responses to a unit z1 and a unit z2 (2 x L), the
+    input-to-end-state map (2 x L, column m is A^(L-1-m) B) and A^L.
+    """
+    size = _LOWPASS_BLOCK
+    p = [0.0, 1.0]
+    for _ in range(size - 1):
+        p.append(-a1 * p[-1] - a2 * p[-2])
+    p = np.array(p)
+    q = np.concatenate([[1.0], -a2 * p[:-1]])
+    bz1, bz2 = b1 - a1 * b0, b2 - a2 * b0
+    # A^i B = p_i (A B) + q_i B, for i = 0 .. L
+    ab = np.stack([p * (bz2 - a1 * bz1) + q * bz1, p * (-a2 * bz1) + q * bz2])
+    h = np.concatenate([[b0], ab[0, : size - 1]])
+    o = np.stack([q - a1 * p, p])[:, :size]
+    a_l = np.array([[q[size] - a1 * p[size], p[size]], [-a2 * p[size], q[size]]])
+    return h, o, ab[:, size - 1 :: -1], a_l
+
+
+def _lowpass_samples(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:
+    """4th-order Butterworth low-pass of a float64 array, from a zero state.
+
+    Burrus's block realization of the two cascaded biquads ("Block
+    realization of digital filters", IEEE Trans. Audio Electroacoust.
+    AU-20(4), 1972), run as one 4-state system over blocks of L samples:
+
+    - one product with the L x L Toeplitz of the impulse response gives
+      every block's zero-state output, and one with the 4 x L
+      input-to-state map gives every block's end state from a zero start;
+    - a scan over the blocks carries the 4-vector state through A^L;
+    - one last product adds each block's zero-input response.
+
+    The products are ``np.einsum`` calls without ``optimize``, so they run
+    in numpy's own single-threaded loops and never start BLAS threads that
+    would compete with the worker threads.
+    """
+    size = _LOWPASS_BLOCK
+    k = math.tan(math.pi * cutoff_hz / sample_rate)
+    k2 = k * k
+    sections = []
+    for q in _BUTTER4_Q:
+        norm = 1.0 / (1.0 + k / q + k2)
+        b0 = k2 * norm
+        a1 = 2.0 * (k2 - 1.0) * norm
+        a2 = (1.0 - k / q + k2) * norm
+        sections.append(_biquad_blocks(b0, 2.0 * b0, b0, a1, a2))
+    (h1, o1, in1, pow1), (h2, o2, in2, pow2) = sections
+
+    # Cascade: the second section filters the first one's output, so its
+    # state picks up the first one's zero-input response, and its end state
+    # sees the block input through the first section's Toeplitz.
+    h = np.convolve(h1, h2)[:size]
+    o = np.concatenate([[np.convolve(h2, row)[:size] for row in o1], o2])
+    k_in = np.concatenate([in1, [np.convolve(row[::-1], h1)[size - 1 :: -1] for row in in2]])
+    a_l = np.zeros((4, 4))
+    a_l[:2, :2] = pow1
+    a_l[2:, :2] = np.einsum("km,jm->kj", in2, o1)
+    a_l[2:, 2:] = pow2
+
+    # row m of the upper-triangular Toeplitz holds h[i - m] at column i >= m
+    padded = np.concatenate([np.zeros(size - 1), h])
+    toeplitz = np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(padded, size)[::-1]
+    )
+    blocks = -(-len(x) // size)
+    xb = np.zeros(blocks * size)
+    xb[: len(x)] = x
+    xb = xb.reshape(blocks, size)
+    y = np.einsum("bm,mi->bi", xb, toeplitz)
+    ends = np.einsum("bm,km->bk", xb, k_in).tolist()
+
+    (r00, r01, _, _), (r10, r11, _, _), (r20, r21, r22, r23), (r30, r31, r32, r33) = (
+        a_l.tolist()
+    )
+    s0 = s1 = s2 = s3 = 0.0
+    starts = []
+    for e0, e1, e2, e3 in ends:
+        starts.append((s0, s1, s2, s3))
+        s0, s1, s2, s3 = (
+            r00 * s0 + r01 * s1 + e0,
+            r10 * s0 + r11 * s1 + e1,
+            r20 * s0 + r21 * s1 + r22 * s2 + r23 * s3 + e2,
+            r30 * s0 + r31 * s1 + r32 * s2 + r33 * s3 + e3,
+        )
+    y += np.einsum("bk,ki->bi", np.array(starts).reshape(blocks, 4), o)
+    return y.reshape(-1)[: len(x)]
+
+
 def apply_lowpass(buffer: AudioBuffer, cutoff_hz: float) -> AudioBuffer:
     """4th-order Butterworth low-pass at ``cutoff_hz``. Length is preserved.
 
     Two biquads from the bilinear transform with frequency prewarping, so the
-    -3 dB point lands exactly on ``cutoff_hz``. Each runs in direct form II
-    transposed from a zero state, with the products and sums of scipy's
-    ``sosfilt`` in the same order, so the output matches it bit for bit.
+    -3 dB point lands exactly on ``cutoff_hz``, run from a zero state in
+    Burrus's block realization (see ``_lowpass_samples``). That is exact in
+    real arithmetic; in float64 it stays within 1e-9 of the per-sample
+    direct form II transposed recursion on unit-scale input, from 1 Hz to
+    just below Nyquist.
     """
     if not (0.0 < cutoff_hz < buffer.sample_rate / 2.0):
         raise CutoffAboveNyquist(
             f"cutoff {cutoff_hz} Hz outside (0, {buffer.sample_rate / 2}) Hz"
         )
-    k = math.tan(math.pi * cutoff_hz / buffer.sample_rate)
-    k2 = k * k
-    x = buffer.samples.astype(np.float64).tolist()
-    for q in _BUTTER4_Q:
-        norm = 1.0 / (1.0 + k / q + k2)
-        b0 = b2 = k2 * norm
-        b1 = 2.0 * b0
-        a1 = 2.0 * (k2 - 1.0) * norm
-        a2 = (1.0 - k / q + k2) * norm
-        y = [0.0] * len(x)
-        z1 = z2 = 0.0
-        for i, v in enumerate(x):
-            out = b0 * v + z1
-            z1 = b1 * v - a1 * out + z2
-            z2 = b2 * v - a2 * out
-            y[i] = out
-        x = y
-    return AudioBuffer(np.array(x, dtype=np.float64), buffer.sample_rate)
+    y = _lowpass_samples(buffer.samples.astype(np.float64), cutoff_hz, buffer.sample_rate)
+    return AudioBuffer(y, buffer.sample_rate)
 
 
 def _samples_of(signal: AudioBuffer | np.ndarray) -> np.ndarray:

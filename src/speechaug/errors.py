@@ -64,10 +64,6 @@ class EmptyText(PortError):
     """A synthesizer was asked to speak an empty sentence."""
 
 
-class TranslatorFailure(PortError):
-    """A translator port failed on one sentence."""
-
-
 class MalformedManifest(SpeechAugError):
     """A manifest line failed to parse; carries the 1-based line number."""
 

@@ -300,6 +300,24 @@ class TestResampleKernel:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "cutoff",
+        [0.5, 0.5 / 1.05, 0.5 * 16000 / 22050, 0.5 * 16000 / 44100],
+        ids=["up", "speed1.05", "22k-16k", "44k-16k"],
+    )
+    def test_phase_table_equals_two_sided_evaluation(self, cutoff):
+        # every phase evaluated directly, with no mirroring
+        half = audio.RESAMPLE_TAPS // 2
+        offsets = np.arange(1 - half, half + 1, dtype=np.float64)
+        phases = np.arange(audio.RESAMPLE_PHASES + 1, dtype=np.float64) / audio.RESAMPLE_PHASES
+        delta = phases[:, None] - offsets[None, :]
+        kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * delta)
+        kernel *= 0.5 + 0.5 * np.cos((np.pi / half) * delta)
+        want = np.stack([kernel[:-1], np.diff(kernel, axis=0)], axis=1)
+        rows, sums = audio._phase_table(cutoff)
+        assert np.array_equal(rows, want)
+        assert np.array_equal(sums, want.sum(axis=2))
+
     def test_rejects_alias_when_downsampling(self):
         # 5.5 kHz lies above the 4 kHz Nyquist of the 8 kHz output, so the
         # kernel must filter it out instead of folding it down to 2.5 kHz

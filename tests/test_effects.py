@@ -26,6 +26,7 @@ from speechaug import (
     compute_snr,
     mix_noise,
 )
+from speechaug import effects
 
 from conftest import db_ratio, direct_snr_db, fft_peak_hz, make_noise_bank, make_sine
 
@@ -100,6 +101,30 @@ class TestPitch:
         assert np.all(np.isfinite(out.samples))
 
 
+def direct_form_lowpass(x: np.ndarray, cutoff_hz: float, rate: int) -> np.ndarray:
+    """The 4th-order Butterworth as two biquads run one sample at a time.
+
+    Bilinear transform with prewarping; each section in direct form II
+    transposed from a zero state, in float64.
+    """
+    k = math.tan(math.pi * cutoff_hz / rate)
+    k2 = k * k
+    out = [float(v) for v in x]
+    for q in (1.0 / (2.0 * math.cos(math.pi / 8)), 1.0 / (2.0 * math.cos(3 * math.pi / 8))):
+        norm = 1.0 / (1.0 + k / q + k2)
+        b0 = b2 = k2 * norm
+        b1 = 2.0 * b0
+        a1 = 2.0 * (k2 - 1.0) * norm
+        a2 = (1.0 - k / q + k2) * norm
+        z1 = z2 = 0.0
+        for i, v in enumerate(out):
+            y = b0 * v + z1
+            z1 = b1 * v - a1 * y + z2
+            z2 = b2 * v - a2 * y
+            out[i] = y
+    return np.array(out, dtype=np.float64)
+
+
 class TestLowpass:
     def test_passband_flat(self):
         buf = make_sine(250.0, 1.0, 16000)
@@ -149,6 +174,18 @@ class TestLowpass:
                 ref = np.clip(signal.sosfilt(sos, buf.samples.astype(np.float64)), -1.0, 1.0)
                 out = apply_lowpass(buf, cutoff).samples
                 np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 48000])
+    def test_matches_direct_form_reference(self, rate):
+        block = effects._LOWPASS_BLOCK
+        gen = np.random.default_rng(rate)
+        for cutoff in (1.0, 0.01 * rate, 300.0, 1000.0, 0.3 * rate, 0.499 * rate):
+            for n in (0, 1, block - 1, block, block + 1, 2 * block + 1, 48000):
+                x = gen.uniform(-1.0, 1.0, n)
+                got = effects._lowpass_samples(x, cutoff, rate)
+                want = direct_form_lowpass(x, cutoff, rate)
+                assert got.shape == (n,)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=50.0, max_value=3900.0), st.integers(min_value=10, max_value=3000))
