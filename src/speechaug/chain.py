@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -155,21 +155,7 @@ class AppliedTrace:
     stages: tuple[StageTrace, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "utterance_id": self.utterance_id,
-                "stages": [
-                    {
-                        "index": s.index,
-                        "kind": s.kind,
-                        "applied": s.applied,
-                        "params": s.params,
-                    }
-                    for s in self.stages
-                ],
-            },
-            ensure_ascii=False,
-        )
+        return json.dumps(asdict(self), ensure_ascii=False)
 
     @classmethod
     def from_json(cls, line: str) -> "AppliedTrace":

@@ -77,18 +77,22 @@ def _load_chain_config(args: argparse.Namespace) -> ChainConfig:
     return config.with_seed(args.seed)
 
 
-def _load_bank(args: argparse.Namespace) -> NoiseBank | None:
+def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank | None:
+    """The bank named by --noise-dir or --noise-manifest, or None; a chain
+    that mixes noise must get one."""
+    bank = None
     try:
         if args.noise_dir is not None:
             bank = NoiseBank.from_dir(args.noise_dir)
             if len(bank) == 0:
                 raise CliError(f"no WAV files under {args.noise_dir}")
-            return bank
-        if args.noise_manifest is not None:
-            return NoiseBank.from_manifest(args.noise_manifest)
-    except SpeechAugError as err:
+        elif args.noise_manifest is not None:
+            bank = NoiseBank.from_manifest(args.noise_manifest)
+    except (SpeechAugError, OSError, ValueError) as err:
         raise CliError(f"cannot load noise bank: {err}") from err
-    return None
+    if bank is None and chain is not None and needs_bank(chain):
+        raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
+    return bank
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -100,28 +104,20 @@ def cmd_augment(args: argparse.Namespace) -> int:
     if not files:
         raise CliError(f"no WAV files under {in_dir}")
     config = _load_chain_config(args)
-    bank = _load_bank(args)
-    if needs_bank(config) and bank is None:
-        raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
+    bank = _load_bank(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(path: Path) -> tuple[str, str | None, str | None]:
-        """Returns (name, trace_json, error)."""
-        try:
-            buffer = load_wav(path)
-            out, trace = apply_chain(config, buffer, path.stem, bank)
-            save_wav(out, out_dir / path.name, encoding="float32")
-            return path.name, trace.to_json(), None
-        except SpeechAugError as err:
-            return path.name, None, str(err)
+    def process(path: Path) -> str:
+        out, trace = apply_chain(config, load_wav(path), path.stem, bank)
+        save_wav(out, out_dir / path.name, encoding="float32")
+        return trace.to_json()
 
     outcomes = ordered_map(process, files, args.workers)
-
-    failures = [(name, err) for name, _, err in outcomes if err is not None]
+    failures = [(p.name, o) for p, o in zip(files, outcomes) if isinstance(o, SpeechAugError)]
     with open(out_dir / "traces.jsonl", "w", encoding="utf-8") as fh:
-        for _, trace_json, _ in outcomes:
-            if trace_json is not None:
-                fh.write(trace_json + "\n")
+        for outcome in outcomes:
+            if not isinstance(outcome, SpeechAugError):
+                fh.write(outcome + "\n")
 
     print(json.dumps({"processed": len(files) - len(failures), "failed": len(failures)}))
     if failures:
@@ -212,9 +208,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise CliError(str(err)) from err
     chain = None if args.no_effects else _load_chain_config(args)
-    bank = _load_bank(args)
-    if chain is not None and needs_bank(chain) and bank is None:
-        raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
+    bank = _load_bank(args, chain)
     synthesizer = _make_synthesizer(args.synthesizer, args.sample_rate)
     unitizer = MockUnitizer(vocabulary_size=args.units_k)
     try:
@@ -377,10 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SpeechAugError as err:
+    except (CliError, SpeechAugError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except BrokenPipeError:

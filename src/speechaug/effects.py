@@ -327,10 +327,10 @@ class NoiseBank:
             return self._at_rate[sample_rate]
 
     @classmethod
-    def from_dir(cls, path: str | Path, category: str | None = None) -> "NoiseBank":
+    def from_dir(cls, path: str | Path) -> "NoiseBank":
         """Load every ``*.wav`` under ``path`` (sorted by name, ids are stems)."""
         files = sorted(Path(path).glob("*.wav"))
-        return cls([NoiseEntry(f.stem, load_wav(f), category) for f in files])
+        return cls([NoiseEntry(f.stem, load_wav(f)) for f in files])
 
     @classmethod
     def from_manifest(cls, path: str | Path) -> "NoiseBank":

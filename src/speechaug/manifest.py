@@ -9,21 +9,18 @@ WAV file on disk and carries the reduced target units, the data origin
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .audio import AudioBuffer, save_wav
-from .chain import AppliedTrace, ChainConfig, apply_chain
+from .audio import save_wav
+from .chain import ChainConfig, apply_chain
 from .effects import NoiseBank
-from .errors import EmptyCorpus, MalformedManifest, PortError, SpeechAugError
+from .errors import EmptyCorpus, MalformedManifest, SpeechAugError
 from .ports import SynthesizerPort, UnitizerPort, UnitSequence, ordered_map, reduce_units
 from .textpipe import TextPair
-
-log = logging.getLogger(__name__)
 
 MANIFEST_SCHEMA = "speechaug-manifest-v1"
 
@@ -119,48 +116,11 @@ def read_manifest(path: str | Path) -> list[ManifestRecord]:
     return records
 
 
-def _build_one(
-    pair: TextPair,
-    synthesizer: SynthesizerPort,
-    unitizer: UnitizerPort,
-    chain: ChainConfig | None,
-    bank: NoiseBank | None,
-    audio_dir: Path,
-    src_lang: str,
-    tgt_lang: str,
-    origin: str,
-    augment_source: bool,
-    augment_target: bool,
-) -> tuple[ManifestRecord, AppliedTrace | None]:
-    source_audio = synthesizer.synthesize(pair.source, src_lang)
-    target_audio = synthesizer.synthesize(pair.target, tgt_lang)
-    trace = None
-    if chain is not None and augment_source:
-        source_audio, trace = apply_chain(chain, source_audio, f"{pair.id}:src", bank)
-    if chain is not None and augment_target:
-        # target perturbation happens before unitization so the units
-        # describe the audio the model will actually hear
-        target_audio, _ = apply_chain(chain, target_audio, f"{pair.id}:tgt", bank)
-    units = reduce_units(unitizer.unitize(target_audio))
-    wav_path = audio_dir / f"{pair.id}.wav"
-    save_wav(source_audio, wav_path, encoding="float32")
-    record = ManifestRecord(
-        id=pair.id,
-        source_audio=f"audio/{pair.id}.wav",
-        duration_s=source_audio.duration_seconds,
-        target_units=units,
-        origin=origin,
-        src_lang=src_lang,
-        tgt_lang=tgt_lang,
-    )
-    return record, trace
-
-
 @dataclass
 class BuildOutcome:
     manifest_path: Path
     records: list[ManifestRecord]
-    failures: list[tuple[str, str]]
+    failures: list[tuple[str, SpeechAugError]]
 
 
 def build_manifest(
@@ -184,37 +144,42 @@ def build_manifest(
     (when one is given; the chain is seeded per record id, so worker count
     and ordering cannot change any output), and written to
     ``out_dir/audio/<id>.wav``; the target sentence is spoken and collapsed
-    into reduced units. Records land in the manifest in pair order. Pairs
-    whose port calls fail are logged, reported in the outcome (also in pair
-    order) and skipped; the manifest holds only successes.
+    into reduced units. Records land in the manifest in pair order.
+
+    Any ``SpeechAugError`` raised while one pair is processed (a port
+    failure, an effect failure, a write failure) makes that pair a failure:
+    it is reported in the outcome as ``(pair id, error)``, in pair order,
+    and left out of the manifest. Nothing is logged here; reporting is the
+    caller's.
     """
     out_path = Path(out_dir)
     audio_dir = out_path / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(pair: TextPair) -> tuple[ManifestRecord | None, str | None]:
-        try:
-            record, _trace = _build_one(
-                pair,
-                synthesizer,
-                unitizer,
-                chain,
-                bank,
-                audio_dir,
-                src_lang,
-                tgt_lang,
-                origin,
-                augment_source,
-                augment_target,
-            )
-        except (PortError, SpeechAugError) as err:
-            log.warning("skipping pair %s: %s", pair.id, err)
-            return None, str(err)
-        return record, None
+    def build_one(pair: TextPair) -> ManifestRecord:
+        source_audio = synthesizer.synthesize(pair.source, src_lang)
+        target_audio = synthesizer.synthesize(pair.target, tgt_lang)
+        if chain is not None and augment_source:
+            source_audio, _ = apply_chain(chain, source_audio, f"{pair.id}:src", bank)
+        if chain is not None and augment_target:
+            # target perturbation happens before unitization so the units
+            # describe the audio the model will actually hear
+            target_audio, _ = apply_chain(chain, target_audio, f"{pair.id}:tgt", bank)
+        units = reduce_units(unitizer.unitize(target_audio))
+        save_wav(source_audio, audio_dir / f"{pair.id}.wav", encoding="float32")
+        return ManifestRecord(
+            id=pair.id,
+            source_audio=f"audio/{pair.id}.wav",
+            duration_s=source_audio.duration_seconds,
+            target_units=units,
+            origin=origin,
+            src_lang=src_lang,
+            tgt_lang=tgt_lang,
+        )
 
-    outcomes = ordered_map(run_one, pairs, workers)
-    records = [record for record, _ in outcomes if record is not None]
-    failures = [(pair.id, err) for pair, (_, err) in zip(pairs, outcomes) if err is not None]
+    outcomes = ordered_map(build_one, pairs, workers)
+    records = [o for o in outcomes if not isinstance(o, SpeechAugError)]
+    failures = [(p.id, o) for p, o in zip(pairs, outcomes) if isinstance(o, SpeechAugError)]
     manifest_path = out_path / "manifest.jsonl"
     write_manifest(records, manifest_path)
     return BuildOutcome(manifest_path=manifest_path, records=records, failures=failures)

@@ -21,7 +21,7 @@ from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 import numpy as np
 
 from .audio import AudioBuffer, load_wav, resample
-from .errors import EmptyText, MockRejected, PortError
+from .errors import EmptyText, MockRejected, PortError, SpeechAugError
 
 
 @runtime_checkable
@@ -168,19 +168,32 @@ class MockUnitizer:
 
 T = TypeVar("T")
 R = TypeVar("R")
+LP = TypeVar("LP", bound="_LineProcess")
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+def ordered_map(
+    fn: Callable[[T], R], items: Sequence[T], workers: int
+) -> list[R | SpeechAugError]:
     """``[fn(item) for item in items]``, on up to ``workers`` threads.
 
-    Results come back in input order whatever order the threads finish in.
-    At one worker (or fewer) the items run serially in the calling thread,
-    with no pool and no futures.
+    This is the one place where a single item's failure is decided: a
+    ``SpeechAugError`` raised by ``fn`` for one item takes that item's slot
+    as the exception object, and the other items still run. Any other
+    exception propagates. Results and failures come back in input order
+    whatever order the threads finish in. At one worker (or fewer) the
+    items run serially in the calling thread, with no pool and no futures.
     """
+
+    def attempt(item: T) -> R | SpeechAugError:
+        try:
+            return fn(item)
+        except SpeechAugError as err:
+            return err
+
     if workers <= 1:
-        return [fn(item) for item in items]
+        return [attempt(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(attempt, items))
 
 
 class _LineProcess:
@@ -232,8 +245,14 @@ class _LineProcess:
         finally:
             proc.stdout.close()
 
+    def __enter__(self: LP) -> LP:
+        return self
 
-class SubprocessTranslator:
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+class SubprocessTranslator(_LineProcess):
     """Adapter around an external line-oriented translation command.
 
     Protocol: one request per line on the child's stdin,
@@ -243,24 +262,12 @@ class SubprocessTranslator:
     number of threads.
     """
 
-    def __init__(self, command: Sequence[str]):
-        self._proc = _LineProcess(command)
-
     def translate(self, sentence: str, from_language: str, to_language: str) -> str:
         flat = " ".join(sentence.split())
-        return self._proc.request(f"{from_language}\t{to_language}\t{flat}")
-
-    def close(self) -> None:
-        self._proc.close()
-
-    def __enter__(self) -> "SubprocessTranslator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        return self.request(f"{from_language}\t{to_language}\t{flat}")
 
 
-class SubprocessSynthesizer:
+class SubprocessSynthesizer(_LineProcess):
     """Adapter around an external line-oriented text-to-speech command.
 
     Protocol: one request per line on the child's stdin,
@@ -276,11 +283,11 @@ class SubprocessSynthesizer:
         if sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         self.sample_rate = sample_rate
-        self._proc = _LineProcess(command)
+        super().__init__(command)
 
     def synthesize(self, sentence: str, language: str) -> AudioBuffer:
         flat = " ".join(sentence.split())
-        path = self._proc.request(f"{language}\t{flat}")
+        path = self.request(f"{language}\t{flat}")
         try:
             buffer = load_wav(path)
         except OSError as err:
@@ -288,12 +295,3 @@ class SubprocessSynthesizer:
         if buffer.sample_rate != self.sample_rate:
             buffer = resample(buffer, self.sample_rate)
         return buffer
-
-    def close(self) -> None:
-        self._proc.close()
-
-    def __enter__(self) -> "SubprocessSynthesizer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

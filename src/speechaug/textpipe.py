@@ -17,7 +17,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .errors import PortError
+from .errors import SpeechAugError
 from .ports import TranslatorPort, ordered_map
 
 
@@ -48,8 +48,6 @@ class FilterPolicy:
     max_repetition_run: int = 3
     min_tokens: int = 1
     max_tokens: int = 200
-    reject_urls: bool = True
-    reject_bracketed: bool = True
     max_special_char_ratio: float = 0.2
 
     def __post_init__(self) -> None:
@@ -98,9 +96,9 @@ def clean_sentence(sentence: str, policy: FilterPolicy | None = None) -> CleanRe
     normalized = " ".join(sentence.split())
     if not normalized:
         return CleanResult(None, RejectReason.EMPTY)
-    if policy.reject_urls and _URL_RE.search(normalized):
+    if _URL_RE.search(normalized):
         return CleanResult(None, RejectReason.URL)
-    if policy.reject_bracketed and any(rx.search(normalized) for rx in _BRACKET_SPANS):
+    if any(rx.search(normalized) for rx in _BRACKET_SPANS):
         return CleanResult(None, RejectReason.BRACKETED)
     unusual = sum(
         1
@@ -215,7 +213,8 @@ def run_text_stage(
     so they are stable across runs and insensitive to how many earlier
     lines were rejected. Translation runs on up to ``max_in_flight``
     threads; results come back in line order, so concurrency never changes
-    the output.
+    the output. A sentence whose translation raises ``SpeechAugError``
+    counts as a translator failure.
     """
     policy = policy or FilterPolicy()
     stats = RejectionStats(input_sentences=len(corpus))
@@ -227,17 +226,15 @@ def run_text_stage(
             continue
         survivors.append((idx, result.text))
 
-    def _translate(text: str) -> str | PortError:
-        try:
-            return translator.translate(text, corpus.language, to_language)
-        except PortError as err:
-            return err
-
-    outcomes = ordered_map(_translate, [t for _, t in survivors], max_in_flight)
+    outcomes = ordered_map(
+        lambda text: translator.translate(text, corpus.language, to_language),
+        [text for _, text in survivors],
+        max_in_flight,
+    )
 
     pairs: list[TextPair] = []
     for (idx, target_text), outcome in zip(survivors, outcomes):
-        if isinstance(outcome, PortError):
+        if isinstance(outcome, SpeechAugError):
             stats.translator_failures += 1
             continue
         source_text = " ".join(outcome.split())
@@ -282,12 +279,24 @@ def write_pairs_tsv(pairs: Sequence[TextPair], path: str | Path) -> None:
 
 
 def read_pairs_tsv(path: str | Path) -> list[TextPair]:
+    """Parse ``id<TAB>source<TAB>target`` lines; blank lines are skipped.
+
+    Raises ValueError on a malformed line or on an id used twice, since
+    each id names one output file.
+    """
     pairs = []
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-        pairs.append(TextPair(id=parts[0], source=parts[1], target=parts[2]))
+        pair_id = parts[0]
+        if pair_id in first_line:
+            raise ValueError(
+                f"{path}:{line_no}: pair id {pair_id!r} already used on line {first_line[pair_id]}"
+            )
+        first_line[pair_id] = line_no
+        pairs.append(TextPair(id=pair_id, source=parts[1], target=parts[2]))
     return pairs

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import shlex
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +182,49 @@ class TestAugment:
         ]) == 1
 
 
+def listing_missing(tmp_path: Path) -> Path:
+    return tmp_path / "no-such-listing.tsv"
+
+
+def listing_names_missing_wav(tmp_path: Path) -> Path:
+    listing = tmp_path / "noise.tsv"
+    listing.write_text("gone.wav\tbabble\n")
+    return listing
+
+
+def listing_repeats_a_stem(tmp_path: Path) -> Path:
+    write_noise_dir(tmp_path / "a", count=1)
+    write_noise_dir(tmp_path / "b", count=1)
+    listing = tmp_path / "noise.tsv"
+    listing.write_text("a/noise0.wav\tbabble\nb/noise0.wav\tmusic\n")
+    return listing
+
+
+class TestBadNoiseManifest:
+    @pytest.mark.parametrize(
+        "make_listing", [listing_missing, listing_names_missing_wav, listing_repeats_a_stem]
+    )
+    @pytest.mark.parametrize("command", ["augment", "build"])
+    def test_is_one_error_line(self, tmp_path, capsys, command, make_listing):
+        listing = make_listing(tmp_path)
+        if command == "augment":
+            write_input_wavs(tmp_path / "in", count=1)
+            args = ["augment", "--in", str(tmp_path / "in")]
+        else:
+            pairs = [TextPair(id="p1", source="a b", target="c d")]
+            write_pairs_tsv(pairs, tmp_path / "pairs.tsv")
+            args = ["build", "--pairs", str(tmp_path / "pairs.tsv"), "--units-k", "50"]
+        code = main(args + [
+            "--out", str(tmp_path / "out"), "--seed", "1", "--noise-manifest", str(listing),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines() == [err.splitlines()[0]]
+        assert err.startswith("error: cannot load noise bank: ")
+        assert not (tmp_path / "out").exists()
+
+
 CORPUS_LINES = [
     "good morning",
     "the weather stays fine",
@@ -342,6 +388,57 @@ class TestBuild:
             "build", "--pairs", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "out"),
             "--seed", "3", "--units-k", "50", "--no-effects",
         ]) == 1
+
+
+    def test_duplicate_pair_id_is_refused_before_any_output(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("p1\tshort one\teins\np2\ta b\tc d\np1\ta much longer one\tzwei\n")
+        out_dir = tmp_path / "out"
+        code = main([
+            "build", "--pairs", str(pairs), "--out", str(out_dir),
+            "--seed", "3", "--units-k", "50", "--no-effects", "--workers", "2",
+        ])
+        assert code == 1
+        assert "pair id 'p1' already used on line 1" in capsys.readouterr().err
+        assert not (out_dir / "audio").exists()
+        assert not (out_dir / "manifest.jsonl").exists()
+
+    def test_failed_pair_is_logged_once(self, tmp_path, capsys):
+        engine = tmp_path / "engine.py"
+        engine.write_text(textwrap.dedent(FLAKY_ENGINE))
+        pairs = self.write_pairs(tmp_path / "pairs.tsv", count=3)
+        spec = "subprocess:" + shlex.join([sys.executable, str(engine), str(tmp_path / "wavs")])
+        code = main([
+            "build", "--pairs", str(pairs), "--out", str(tmp_path / "out"),
+            "--seed", "3", "--units-k", "50", "--no-effects", "--synthesizer", spec,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert [r.id for r in read_manifest(Path(captured.out.strip()))] == [
+            "p00000000", "p00000002"
+        ]
+        mentions = [line for line in captured.err.splitlines() if "p00000001" in line]
+        assert len(mentions) == 1
+        assert mentions[0].startswith("ERROR speechaug: failed: p00000001: ")
+
+
+# answers every sentence holding "1" with a path it never writes
+FLAKY_ENGINE = """
+    import os, struct, sys
+
+    out_dir = sys.argv[1]
+    os.makedirs(out_dir, exist_ok=True)
+    for count, line in enumerate(sys.stdin):
+        sentence = line.rstrip("\\n").split("\\t")[1]
+        path = os.path.join(out_dir, f"utt{count}.wav")
+        if "1" not in sentence:
+            frames = struct.pack("<h", 3000) * (160 * len(sentence))
+            with open(path, "wb") as fh:
+                fh.write(b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVE")
+                fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16))
+                fh.write(b"data" + struct.pack("<I", len(frames)) + frames)
+        print(path, flush=True)
+"""
 
 
 class TestSample:

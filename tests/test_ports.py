@@ -31,6 +31,8 @@ from speechaug import (
     reduce_units,
 )
 
+from speechaug.ports import ordered_map
+
 from conftest import fft_peak_hz
 
 
@@ -363,3 +365,27 @@ def test_one_port_serves_many_threads(tmp_path):
         pytest.fail("800 calls from 8 threads on two ports did not finish in 60 s")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["800"], done.stderr
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_typed_error_takes_its_own_slot(self, workers):
+        def fn(i: int) -> int:
+            if i == 2:
+                raise MockRejected(f"item {i} refused")
+            return i * i
+
+        outcomes = ordered_map(fn, range(6), workers)
+        assert isinstance(outcomes[2], MockRejected)
+        assert str(outcomes[2]) == "item 2 refused"
+        assert [o for i, o in enumerate(outcomes) if i != 2] == [0, 1, 9, 16, 25]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_other_exceptions_propagate(self, workers):
+        def fn(i: int) -> int:
+            if i == 3:
+                raise RuntimeError("a bug, not an item failure")
+            return i
+
+        with pytest.raises(RuntimeError, match="a bug"):
+            ordered_map(fn, range(6), workers)

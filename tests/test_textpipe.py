@@ -66,14 +66,6 @@ class TestCleanSentence:
             assert second.accepted
             assert second.text == first.text
 
-    def test_policy_can_disable_url_check(self):
-        policy = FilterPolicy(reject_urls=False)
-        assert clean_sentence("go to http://x.example now", policy).accepted
-
-    def test_policy_can_disable_bracket_check(self):
-        policy = FilterPolicy(reject_bracketed=False)
-        assert clean_sentence("keep [this] now", policy).accepted
-
 
 class TestFilterPolicy:
     def test_defaults(self):
@@ -222,6 +214,12 @@ class TestPairsTsv:
         path = tmp_path / "bad.tsv"
         path.write_text("p1\tonly-two-fields\n")
         with pytest.raises(ValueError):
+            read_pairs_tsv(path)
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("p1\ta b\tc d\n\np2\te f\tg h\np1\ti j\tk l\n")
+        with pytest.raises(ValueError, match=r"dup\.tsv:4: pair id 'p1' already used on line 1"):
             read_pairs_tsv(path)
 
 
