@@ -28,7 +28,7 @@ from .manifest import (
     SamplerConfig,
     build_manifest,
     corpus_stats,
-    read_manifest,
+    iter_manifest,
     sample_stream,
 )
 from .ports import (
@@ -41,10 +41,11 @@ from .ports import (
 )
 from .textpipe import (
     FilterPolicy,
-    TextCorpus,
+    RejectionStats,
+    iter_lines,
+    iter_text_stage,
     read_pairs_tsv,
     reservoir_take,
-    run_text_stage,
     write_pairs_tsv,
 )
 
@@ -170,25 +171,24 @@ def cmd_textaug(args: argparse.Namespace) -> int:
     if not in_path.is_file():
         raise CliError(f"--in {in_path} is not a file")
     out_dir = Path(args.out_path)
-    corpus = TextCorpus.from_file(in_path, args.language)
+    sentences = iter_lines(in_path)
     if args.take_n is not None:
         if args.seed is None:
             raise CliError("--take-n needs --seed")
         rng = np.random.Generator(np.random.PCG64(args.seed))
-        corpus = TextCorpus(
-            tuple(reservoir_take(corpus.sentences, args.take_n, rng)), corpus.language
-        )
+        sentences = reservoir_take(sentences, args.take_n, rng)
     translator = _make_translator(args.translator)
     policy = _policy_from_args(args)
+    stats = RejectionStats()
     try:
-        pairs, stats = run_text_stage(
-            corpus, translator, args.to, policy=policy, max_in_flight=args.workers
+        out_dir.mkdir(parents=True, exist_ok=True)
+        pairs = iter_text_stage(
+            sentences, args.language, translator, args.to, stats, policy, args.workers
         )
+        write_pairs_tsv(pairs, out_dir / "pairs.tsv")
     finally:
         if hasattr(translator, "close"):
             translator.close()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_pairs_tsv(pairs, out_dir / "pairs.tsv")
     (out_dir / "stats.json").write_text(
         json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
@@ -255,21 +255,21 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    manifests = []
+    # every record is validated, but a pool keeps only the ids it prints
+    pools = []
     for item in args.manifest:
         origin, _, path = item.partition("=")
         if not _ or not origin.strip():
             raise CliError(f"bad --manifest entry {item!r}, expected origin=path")
         try:
-            records = read_manifest(path)
+            ids = [record.id for record in iter_manifest(path)]
         except (OSError, SpeechAugError) as err:
             raise CliError(f"cannot read manifest {path}: {err}") from err
-        manifests.append((records, origin.strip()))
+        pools.append((ids, origin.strip()))
     try:
         config = SamplerConfig(weights=_parse_weights(args.weights), seed=args.seed)
-        stream = sample_stream(manifests, config)
-        for record in islice(stream, args.count):
-            print(record.id)
+        stream = sample_stream(pools, config)
+        sys.stdout.writelines(f"{record_id}\n" for record_id in islice(stream, args.count))
     except SpeechAugError as err:
         raise CliError(str(err)) from err
     except ValueError as err:

@@ -72,5 +72,14 @@ class MalformedManifest(SpeechAugError):
         self.line_number = line_number
 
 
+class MalformedText(SpeechAugError):
+    """A text input is not valid UTF-8; carries the 1-based line number."""
+
+    def __init__(self, path: object, line_number: int, reason: str):
+        super().__init__(f"{path}:{line_number}: not valid UTF-8 ({reason})")
+        self.line_number = line_number
+        self.reason = reason
+
+
 class EmptyCorpus(SpeechAugError):
     """A sampling origin has positive weight but zero records."""

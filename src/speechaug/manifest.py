@@ -9,18 +9,21 @@ WAV file on disk and carries the reduced target units, the data origin
 from __future__ import annotations
 
 import json
+import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .audio import save_wav
 from .chain import ChainConfig, apply_chain
 from .effects import NoiseBank
-from .errors import EmptyCorpus, MalformedManifest, SpeechAugError
+from .errors import EmptyCorpus, MalformedManifest, MalformedText, SpeechAugError
 from .ports import SynthesizerPort, UnitizerPort, UnitSequence, ordered_map, reduce_units
-from .textpipe import TextPair
+from .textpipe import TextPair, iter_lines
 
 MANIFEST_SCHEMA = "speechaug-manifest-v1"
 
@@ -44,8 +47,8 @@ class ManifestRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("record id must not be empty")
-        if self.duration_s <= 0:
-            raise ValueError(f"record {self.id!r}: duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"record {self.id!r}: duration must be positive and finite")
         if not self.target_units.reduced:
             raise ValueError(f"record {self.id!r}: target units must be reduced")
         if self.origin not in ORIGINS:
@@ -73,15 +76,17 @@ class ManifestRecord:
         units_field = data["target_units"]
         if not isinstance(units_field, str):
             raise ValueError("target_units must be a space-separated string")
-        units = tuple(int(tok) for tok in units_field.split())
+        units = tuple(map(int, units_field.split()))
+        # a manifest repeats a handful of origins and languages on every
+        # line; interned, each record shares one string per value
         return cls(
             id=str(data["id"]),
             source_audio=str(data["source_audio"]),
             duration_s=float(data["duration_s"]),
             target_units=UnitSequence(units, reduced=True),
-            origin=str(data["origin"]),
-            src_lang=str(data["src_lang"]),
-            tgt_lang=str(data["tgt_lang"]),
+            origin=sys.intern(str(data["origin"])),
+            src_lang=sys.intern(str(data["src_lang"])),
+            tgt_lang=sys.intern(str(data["tgt_lang"])),
         )
 
 
@@ -93,27 +98,42 @@ def write_manifest(records: Sequence[ManifestRecord], path: str | Path) -> None:
             fh.write(record.to_json() + "\n")
 
 
-def read_manifest(path: str | Path) -> list[ManifestRecord]:
-    """Parse a manifest, raising MalformedManifest with the offending line number."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise MalformedManifest(1, "file is empty, expected a schema header")
+def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
+    """Parse a manifest one line at a time, raising MalformedManifest with
+    the offending line number when a line is reached that does not parse.
+
+    Lines are split as ``iter_lines`` splits them, and only one block of
+    the file is held at a time.
+    """
+    lines = iter_lines(path)
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise MalformedManifest(1, f"header is not valid JSON: {err}") from err
-    if not isinstance(header, dict) or header.get("schema") != MANIFEST_SCHEMA:
-        raise MalformedManifest(1, f"expected schema header {MANIFEST_SCHEMA!r}")
-    records = []
-    for line_no, raw in enumerate(lines[1:], 2):
-        if not raw.strip():
-            continue
+        first = next(lines, None)
+        if first is None:
+            raise MalformedManifest(1, "file is empty, expected a schema header")
         try:
-            data = json.loads(raw)
-            records.append(ManifestRecord.from_dict(data))
-        except (json.JSONDecodeError, ValueError) as err:
-            raise MalformedManifest(line_no, str(err)) from err
-    return records
+            header = json.loads(first)
+        except json.JSONDecodeError as err:
+            raise MalformedManifest(1, f"header is not valid JSON: {err}") from err
+        if not isinstance(header, dict) or header.get("schema") != MANIFEST_SCHEMA:
+            raise MalformedManifest(1, f"expected schema header {MANIFEST_SCHEMA!r}")
+        for line_no, raw in enumerate(lines, 2):
+            if not raw.strip():
+                continue
+            try:
+                record = ManifestRecord.from_dict(json.loads(raw))
+            except (json.JSONDecodeError, ValueError) as err:
+                raise MalformedManifest(line_no, str(err)) from err
+            yield record
+    except MalformedText as err:
+        raise MalformedManifest(err.line_number, f"not valid UTF-8 ({err.reason})") from err
+    finally:
+        lines.close()
+
+
+def read_manifest(path: str | Path) -> list[ManifestRecord]:
+    """Parse a whole manifest, raising MalformedManifest with the offending
+    line number."""
+    return list(iter_manifest(path))
 
 
 @dataclass
@@ -202,17 +222,22 @@ class SamplerConfig:
         object.__setattr__(self, "weights", dict(self.weights))
 
 
-def sample_stream(
-    manifests: Sequence[tuple[Sequence[ManifestRecord], str]],
-    config: SamplerConfig,
-) -> Iterator[ManifestRecord]:
-    """Yield records forever: pick an origin by weight, then a record
-    uniformly within it.
+P = TypeVar("P")
 
-    Origins with weight zero are never drawn. An origin with positive
-    weight but no records raises EmptyCorpus up front.
+
+def sample_stream(
+    manifests: Sequence[tuple[Sequence[P], str]],
+    config: SamplerConfig,
+) -> Iterator[P]:
+    """Yield pool elements forever: pick an origin by weight, then an
+    element uniformly within its pool.
+
+    An element is usually a record, or just its id when that is all the
+    caller needs; the draws are the same either way. Origins with weight
+    zero are never drawn. An origin with positive weight but no elements
+    raises EmptyCorpus up front.
     """
-    pools: dict[str, list[ManifestRecord]] = {}
+    pools: dict[str, list[P]] = {}
     for records, origin in manifests:
         pools.setdefault(origin, []).extend(records)
 
@@ -223,29 +248,39 @@ def sample_stream(
 
     names = [origin for origin, _ in active]
     weights = np.array([w for _, w in active], dtype=np.float64)
-    cumulative = np.cumsum(weights / weights.sum())
+    # bisect_right on the exact float64 values picks what
+    # np.searchsorted(side="right") picks, without a numpy call per draw
+    cumulative = np.cumsum(weights / weights.sum()).tolist()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     while True:
         u = rng.random()
-        pick = min(int(np.searchsorted(cumulative, u, side="right")), len(names) - 1)
+        pick = min(bisect_right(cumulative, u), len(names) - 1)
         pool = pools[names[pick]]
         yield pool[int(rng.integers(0, len(pool)))]
 
 
 def corpus_stats(path: str | Path) -> dict[str, Any]:
     """Summarize a manifest: totals, per-origin breakdown and a histogram
-    of reduced-unit sequence lengths."""
-    records = read_manifest(path)
-    total_s = float(sum(r.duration_s for r in records))
+    of reduced-unit sequence lengths.
+
+    The manifest is read one record at a time and no record is kept.
+    """
     origins: dict[str, dict[str, Any]] = {}
     histogram: dict[int, int] = {}
-    for r in records:
-        bucket = origins.setdefault(r.origin, {"records": 0, "duration_s": 0.0})
-        bucket["records"] += 1
-        bucket["duration_s"] += r.duration_s
-        histogram[len(r.target_units)] = histogram.get(len(r.target_units), 0) + 1
+
+    def durations() -> Iterator[float]:
+        for r in iter_manifest(path):
+            bucket = origins.setdefault(r.origin, {"records": 0, "duration_s": 0.0})
+            bucket["records"] += 1
+            bucket["duration_s"] += r.duration_s
+            histogram[len(r.target_units)] = histogram.get(len(r.target_units), 0) + 1
+            yield r.duration_s
+
+    # sum() itself consumes the stream: its float algorithm is not a running
+    # "+=" (Python 3.12 compensates it), and the total must stay sum()'s
+    total_s = float(sum(durations()))
     return {
-        "records": len(records),
+        "records": sum(bucket["records"] for bucket in origins.values()),
         "total_duration_s": total_s,
         "total_hours": total_s / 3600.0,
         "origins": {k: origins[k] for k in sorted(origins)},

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -65,10 +66,11 @@ class UnitSequence:
     reduced: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "units", tuple(int(u) for u in self.units))
-        if any(u < 0 for u in self.units):
+        units = tuple(map(int, self.units))
+        object.__setattr__(self, "units", units)
+        if units and min(units) < 0:
             raise ValueError("unit ids must be non-negative")
-        if self.reduced and any(a == b for a, b in zip(self.units, self.units[1:])):
+        if self.reduced and any(map(operator.eq, units, units[1:])):
             raise ValueError("sequence is marked reduced but has equal neighbours")
 
     def __len__(self) -> int:

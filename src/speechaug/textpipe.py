@@ -9,15 +9,18 @@ rejected-with-reason, or translator failure).
 
 from __future__ import annotations
 
+import codecs
+import operator
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import SpeechAugError
+from .errors import MalformedText, SpeechAugError
 from .ports import TranslatorPort, ordered_map
 
 
@@ -124,7 +127,9 @@ class TextPair:
 
 
 def _longest_run(tokens: Sequence[str]) -> int:
-    return max((len(list(g)) for _, g in groupby(tokens)), default=0)
+    if not any(map(operator.eq, tokens, tokens[1:])):
+        return 1 if tokens else 0
+    return max(len(list(g)) for _, g in groupby(tokens))
 
 
 def filter_pair(pair: TextPair, policy: FilterPolicy | None = None) -> RejectReason | None:
@@ -161,12 +166,47 @@ class TextCorpus:
     def __len__(self) -> int:
         return len(self.sentences)
 
-    @classmethod
-    def from_file(cls, path: str | Path, language: str) -> "TextCorpus":
-        """One sentence per line; blank lines are kept and rejected later,
-        so the accounting still covers every input line."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(tuple(lines), language)
+
+# Bytes of a text file read at a time.
+_READ_BLOCK = 1 << 16
+# Every character str.splitlines() breaks a line at ("\r\n" is one break).
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def iter_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, exactly as
+    ``Path(path).read_text(encoding="utf-8").splitlines()`` gives them,
+    read one block at a time.
+
+    Every break ``str.splitlines`` knows ends a line, not only ``\\n``, so a
+    corpus line numbers the same whichever way it is read. Blank lines are
+    yielded too. Bytes that are not UTF-8 raise MalformedText naming their
+    line, once every line before it has been yielded.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    yielded = 0
+    tail = ""
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_READ_BLOCK)
+            try:
+                text = decoder.decode(block, final=not block)
+            except UnicodeDecodeError as err:
+                # err.object holds the decoder's buffered bytes too; with a
+                # sentinel appended, the bad byte's line is the last piece
+                good = err.object[: err.start].decode("utf-8")
+                whole = (tail + good + "?").splitlines()[:-1]
+                yield from whole
+                raise MalformedText(path, yielded + len(whole) + 1, err.reason) from err
+            pieces = (tail + text).splitlines(keepends=True)
+            # the last piece may go on in the next block; even a final "\r"
+            # may be the first half of a "\r\n"
+            tail = pieces.pop() if block and pieces else ""
+            for line in pieces:
+                yield line.rstrip(_LINE_BREAKS)
+            yielded += len(pieces)
+            if not block:
+                return
 
 
 @dataclass
@@ -199,6 +239,69 @@ class RejectionStats:
         }
 
 
+# Sentences the text stage pulls, cleans and translates at a time: memory
+# holds one chunk of lines, translations and pairs, whatever the corpus size.
+_TEXT_CHUNK = 1024
+
+
+def iter_text_stage(
+    sentences: Iterable[str],
+    language: str,
+    translator: TranslatorPort,
+    to_language: str,
+    stats: RejectionStats,
+    policy: FilterPolicy | None = None,
+    max_in_flight: int = 1,
+) -> Iterator[TextPair]:
+    """Clean sentences, translate the survivors and yield the kept pairs.
+
+    Each kept pair has the translation as its source side and the cleaned
+    original as its target side. Pair ids encode the original line number,
+    so they are stable across runs and insensitive to how many earlier
+    lines were rejected. Where every sentence ended up is counted into
+    ``stats`` as the sentences are pulled.
+
+    ``sentences`` is pulled one chunk at a time, and each chunk is
+    translated on up to ``max_in_flight`` threads before any of its pairs
+    is yielded; pairs come out in line order, so concurrency never changes
+    the output. A sentence whose translation raises ``SpeechAugError``
+    counts as a translator failure.
+    """
+    policy = policy or FilterPolicy()
+    lines = enumerate(sentences)
+    while chunk := list(islice(lines, _TEXT_CHUNK)):
+        stats.input_sentences += len(chunk)
+        survivors: list[tuple[int, str]] = []
+        for idx, raw in chunk:
+            result = clean_sentence(raw, policy)
+            if not result.accepted:
+                stats.clean_rejected[result.reason] += 1
+                continue
+            survivors.append((idx, result.text))
+
+        outcomes = ordered_map(
+            lambda text: translator.translate(text, language, to_language),
+            [text for _, text in survivors],
+            max_in_flight,
+        )
+
+        for (idx, target_text), outcome in zip(survivors, outcomes):
+            if isinstance(outcome, SpeechAugError):
+                stats.translator_failures += 1
+                continue
+            source_text = " ".join(outcome.split())
+            if not source_text:
+                stats.pair_rejected[RejectReason.EMPTY] += 1
+                continue
+            pair = TextPair(id=f"p{idx:08d}", source=source_text, target=target_text)
+            reason = filter_pair(pair, policy)
+            if reason is not None:
+                stats.pair_rejected[reason] += 1
+                continue
+            stats.accepted += 1
+            yield pair
+
+
 def run_text_stage(
     corpus: TextCorpus,
     translator: TranslatorPort,
@@ -206,48 +309,14 @@ def run_text_stage(
     policy: FilterPolicy | None = None,
     max_in_flight: int = 1,
 ) -> tuple[list[TextPair], RejectionStats]:
-    """Clean a corpus, translate the survivors and filter the pairs.
-
-    Each kept pair has the translation as its source side and the cleaned
-    original as its target side. Pair ids encode the original line number,
-    so they are stable across runs and insensitive to how many earlier
-    lines were rejected. Translation runs on up to ``max_in_flight``
-    threads; results come back in line order, so concurrency never changes
-    the output. A sentence whose translation raises ``SpeechAugError``
-    counts as a translator failure.
-    """
-    policy = policy or FilterPolicy()
-    stats = RejectionStats(input_sentences=len(corpus))
-    survivors: list[tuple[int, str]] = []
-    for idx, raw in enumerate(corpus.sentences):
-        result = clean_sentence(raw, policy)
-        if not result.accepted:
-            stats.clean_rejected[result.reason] += 1
-            continue
-        survivors.append((idx, result.text))
-
-    outcomes = ordered_map(
-        lambda text: translator.translate(text, corpus.language, to_language),
-        [text for _, text in survivors],
-        max_in_flight,
+    """``iter_text_stage`` over a whole corpus: the kept pairs, in line
+    order, and where every sentence ended up."""
+    stats = RejectionStats()
+    pairs = list(
+        iter_text_stage(
+            corpus.sentences, corpus.language, translator, to_language, stats, policy, max_in_flight
+        )
     )
-
-    pairs: list[TextPair] = []
-    for (idx, target_text), outcome in zip(survivors, outcomes):
-        if isinstance(outcome, SpeechAugError):
-            stats.translator_failures += 1
-            continue
-        source_text = " ".join(outcome.split())
-        if not source_text:
-            stats.pair_rejected[RejectReason.EMPTY] += 1
-            continue
-        pair = TextPair(id=f"p{idx:08d}", source=source_text, target=target_text)
-        reason = filter_pair(pair, policy)
-        if reason is not None:
-            stats.pair_rejected[reason] += 1
-            continue
-        stats.accepted += 1
-        pairs.append(pair)
     return pairs, stats
 
 
@@ -271,28 +340,48 @@ def reservoir_take(lines: Iterable[str], n: int, rng: Any) -> list[str]:
     return [line for _, line in reservoir]
 
 
-def write_pairs_tsv(pairs: Sequence[TextPair], path: str | Path) -> None:
-    """id, source, target as one tab-separated line per pair."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(f"{p.id}\t{p.source}\t{p.target}\n")
+def write_pairs_tsv(pairs: Iterable[TextPair], path: str | Path) -> None:
+    """id, source, target as one tab-separated line per pair.
+
+    ``pairs`` may be a generator. Its lines go to a temporary file beside
+    ``path``, which takes the name ``path`` only once the last pair is
+    written, so a partial pairs file is never visible under its final name.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            for p in pairs:
+                fh.write(f"{p.id}\t{p.source}\t{p.target}\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+# A pair id names the file audio/<id>.wav, so it must be one plain file-name
+# component: not empty, "." or "..", and free of separators and NUL.
+_ID_FORBIDDEN = re.compile(r"[/\\\x00]")
 
 
 def read_pairs_tsv(path: str | Path) -> list[TextPair]:
     """Parse ``id<TAB>source<TAB>target`` lines; blank lines are skipped.
 
-    Raises ValueError on a malformed line or on an id used twice, since
-    each id names one output file.
+    Raises ValueError on a malformed line, on an id that is not one plain
+    file-name component (empty, ``.``, ``..``, or holding ``/``, ``\\`` or
+    NUL) and on an id used twice, since each id names one output file.
     """
     pairs = []
     first_line: dict[str, int] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(iter_lines(path), 1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
         pair_id = parts[0]
+        if pair_id in ("", ".", "..") or _ID_FORBIDDEN.search(pair_id):
+            raise ValueError(f"{path}:{line_no}: pair id {pair_id!r} is not a plain file name")
         if pair_id in first_line:
             raise ValueError(
                 f"{path}:{line_no}: pair id {pair_id!r} already used on line {first_line[pair_id]}"

@@ -308,6 +308,21 @@ class TestTextaug:
             "--language", "en", "--to", "xx", "--max-length-ratio", "0.2",
         ]) == 1
 
+    def test_non_utf8_corpus_is_one_error_line_and_no_pairs(self, tmp_path, capsys):
+        # the bad line comes after more than one chunk of pairs was written
+        lines = [f"sentence number {i}".encode() for i in range(1500)] + [b"bad \xff byte"]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        out_dir = tmp_path / "out"
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(out_dir),
+            "--language", "en", "--to", "xx",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {corpus}:1501: not valid UTF-8 (invalid start byte)"]
+        assert list(out_dir.iterdir()) == []
+
 
 class TestBuild:
     def write_pairs(self, path: Path, count: int = 4) -> Path:
@@ -389,6 +404,19 @@ class TestBuild:
             "--seed", "3", "--units-k", "50", "--no-effects",
         ]) == 1
 
+
+    def test_escaping_pair_id_is_refused_before_any_output(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("p1\tshort one\teins\n../escaped\ta b\tc d\n")
+        out_dir = tmp_path / "out"
+        code = main([
+            "build", "--pairs", str(pairs), "--out", str(out_dir),
+            "--seed", "3", "--units-k", "50", "--no-effects",
+        ])
+        assert code == 1
+        assert "pair id '../escaped' is not a plain file name" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]
 
     def test_duplicate_pair_id_is_refused_before_any_output(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
@@ -492,6 +520,33 @@ class TestSample:
             "--weights", "real=1", "-n", "5", "--seed", "2",
         ]) == 1
 
+    def test_golden_ids_with_three_origins(self, tmp_path, capsys):
+        real, aug = self.write_manifests(tmp_path)
+        write_manifest([record(f"r{i}", origin="real") for i in range(7)], real)
+        extra = tmp_path / "extra.jsonl"
+        write_manifest([record(f"x{i}", origin="text_aug") for i in range(3)], extra)
+        assert main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--manifest", f"extra={extra}", "--weights", "real=0.5,text_aug=0.3,extra=0.2",
+            "-n", "24", "--seed", "20",
+        ]) == 0
+        assert capsys.readouterr().out.split() == [
+            "r1", "x1", "r1", "x1", "x1", "r6", "r3", "r4", "r3", "x0", "a4", "x2",
+            "r4", "r0", "r6", "x1", "a0", "r4", "r4", "x2", "x1", "r2", "r5", "a3",
+        ]
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        real, aug = self.write_manifests(tmp_path)
+        real.write_bytes(real.read_bytes().replace(b'"r3"', b'"r\xff"'))
+        assert main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--weights", "real=0.5,text_aug=0.5", "-n", "5", "--seed", "2",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot read manifest {real}: line 5: not valid UTF-8 (invalid start byte)"
+        ]
+
     def test_weighted_empty_origin(self, tmp_path):
         real, _ = self.write_manifests(tmp_path)
         empty = tmp_path / "empty.jsonl"
@@ -518,6 +573,23 @@ class TestStats:
         path = tmp_path / "m.jsonl"
         path.write_text("not json\n")
         assert main(["stats", "--manifest", str(path)]) == 1
+
+    def test_nan_duration_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "m.jsonl"
+        write_manifest([record("a", 2.0), record("b", 3.0)], path)
+        path.write_text(path.read_text().replace('"duration_s": 3.0', '"duration_s": NaN'))
+        assert main(["stats", "--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 3: record 'b': duration must be positive and finite")
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        path = tmp_path / "m.jsonl"
+        write_manifest([record("a", 2.0), record("b", 3.0)], path)
+        path.write_bytes(path.read_bytes().replace(b'"b"', b'"\xfe"'))
+        assert main(["stats", "--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: line 3: not valid UTF-8 (invalid start byte)"]
 
 
 class TestParser:

@@ -32,12 +32,15 @@ from speechaug import (
     build_manifest,
     corpus_stats,
     default_chain,
+    iter_manifest,
     load_wav,
     read_manifest,
     reduce_units,
     sample_stream,
     write_manifest,
 )
+
+from speechaug import textpipe
 
 from conftest import make_noise_bank
 
@@ -78,6 +81,11 @@ class TestManifestRecord:
             record(duration_s=0.0)
         with pytest.raises(ValueError):
             record(duration_s=-1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(ValueError, match="finite"):
+            record(duration_s=duration)
 
     def test_rejects_unreduced_units(self):
         with pytest.raises(ValueError):
@@ -156,6 +164,52 @@ class TestManifestFile:
         with pytest.raises(MalformedManifest) as exc:
             read_manifest(path)
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_duration_line_number(self, tmp_path, literal):
+        bad = record("bad").to_json().replace('"duration_s": 1.0', f'"duration_s": {literal}')
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"schema": "speechaug-manifest-v1"}\n' + record("ok").to_json() + "\n" + bad + "\n")
+        with pytest.raises(MalformedManifest, match="finite") as exc:
+            read_manifest(path)
+        assert exc.value.line_number == 3
+
+    def test_non_utf8_line_number(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(
+            b'{"schema": "speechaug-manifest-v1"}\n'
+            + record("ok").to_json().encode()
+            + b"\n"
+            + record("bad").to_json().encode().replace(b"audio/", b"audio/\xff")
+            + b"\n"
+        )
+        with pytest.raises(MalformedManifest, match="not valid UTF-8") as exc:
+            read_manifest(path)
+        assert exc.value.line_number == 3
+
+    def test_iter_manifest_streams_the_records_read_manifest_returns(self, tmp_path):
+        records = [record(f"r{i}", 0.5 + i) for i in range(5)]
+        path = tmp_path / "m.jsonl"
+        write_manifest(records, path)
+        assert list(iter_manifest(path)) == read_manifest(path) == records
+
+    def test_breaking_out_early_leaves_no_open_file(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(textpipe, "open", recording_open, raising=False)
+        path = tmp_path / "m.jsonl"
+        write_manifest([record(f"r{i}") for i in range(5)], path)
+        for _ in iter_manifest(path):
+            break
+        records = iter_manifest(path)
+        next(records)
+        records.close()
+        assert len(opened) == 2
+        assert all(fh.closed for fh in opened)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -398,11 +452,46 @@ class TestSamplerConfig:
             SamplerConfig(weights={"real": 0.0, "text_aug": 0.0}, seed=0)
 
 
+def reference_stream(manifests, config):
+    """The per-draw np.searchsorted loop sample_stream used to run."""
+    pools = {}
+    for records, origin in manifests:
+        pools.setdefault(origin, []).extend(records)
+    active = [(origin, w) for origin, w in sorted(config.weights.items()) if w > 0]
+    names = [origin for origin, _ in active]
+    weights = np.array([w for _, w in active], dtype=np.float64)
+    cumulative = np.cumsum(weights / weights.sum())
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    while True:
+        u = rng.random()
+        pick = min(int(np.searchsorted(cumulative, u, side="right")), len(names) - 1)
+        pool = pools[names[pick]]
+        yield pool[int(rng.integers(0, len(pool)))]
+
+
 class TestSampleStream:
     def pools(self):
         real = [record(f"r{i}", origin="real") for i in range(10)]
         aug = [record(f"a{i}", origin="text_aug") for i in range(10)]
         return [(real, "real"), (aug, "text_aug")]
+
+    @pytest.mark.parametrize("weights", [
+        {"real": 1.0, "text_aug": 1.0},
+        {"real": 0.1, "text_aug": 0.7, "extra": 0.2},
+        {"real": 1e-9, "text_aug": 3.0, "extra": 0.0, "more": 1 / 3},
+    ])
+    def test_draws_match_the_searchsorted_reference(self, weights):
+        pools = self.pools() + [([record("x0"), record("x1")], "extra"), ([record("m0")], "more")]
+        config = SamplerConfig(weights=weights, seed=31)
+        drawn = [r.id for r in itertools.islice(sample_stream(pools, config), 5000)]
+        expected = [r.id for r in itertools.islice(reference_stream(pools, config), 5000)]
+        assert drawn == expected
+
+    def test_pools_of_ids_draw_what_pools_of_records_draw(self):
+        config = SamplerConfig(weights={"real": 0.3, "text_aug": 0.7}, seed=4)
+        ids = [([r.id for r in records], origin) for records, origin in self.pools()]
+        from_records = [r.id for r in itertools.islice(sample_stream(self.pools(), config), 500)]
+        assert list(itertools.islice(sample_stream(ids, config), 500)) == from_records
 
     def test_deterministic_for_a_seed(self):
         config = SamplerConfig(weights={"real": 1.0, "text_aug": 1.0}, seed=7)
@@ -458,6 +547,13 @@ class TestCorpusStats:
         assert stats["origins"]["text_aug"]["records"] == 40
         per_origin = math.fsum(r.duration_s for r in reparsed if r.origin == "real")
         assert stats["origins"]["real"]["duration_s"] == pytest.approx(per_origin, rel=1e-12)
+
+    def test_total_is_exactly_sum_of_the_durations(self, tmp_path):
+        gen = np.random.default_rng(8)
+        records = [record(f"r{i}", float(d)) for i, d in enumerate(gen.uniform(0.1, 9.9, 500))]
+        path = tmp_path / "m.jsonl"
+        write_manifest(records, path)
+        assert corpus_stats(path)["total_duration_s"] == float(sum(r.duration_s for r in records))
 
     def test_unit_length_histogram(self, tmp_path):
         records = [

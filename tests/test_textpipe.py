@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +12,23 @@ from hypothesis import strategies as st
 
 from speechaug import (
     FilterPolicy,
+    MalformedText,
     MockTranslator,
     PortError,
+    RejectionStats,
     RejectReason,
     TextCorpus,
     TextPair,
     clean_sentence,
     filter_pair,
+    iter_lines,
+    iter_text_stage,
     read_pairs_tsv,
     reservoir_take,
     run_text_stage,
     write_pairs_tsv,
 )
+from speechaug import textpipe
 
 GOLDEN = Path(__file__).parent / "data" / "clean_golden.tsv"
 
@@ -138,6 +144,12 @@ class TestFilterPair:
         b = pair(" ".join(tgt_tokens), " ".join(src_tokens))
         assert filter_pair(a) == filter_pair(b)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from("ab"), max_size=12))
+    def test_longest_run_matches_groupby_reference(self, tokens):
+        reference = max((len(list(g)) for _, g in groupby(tokens)), default=0)
+        assert textpipe._longest_run(tokens) == reference
+
 
 class FlakyTranslator:
     """Fails on sentences containing a marker token."""
@@ -200,6 +212,96 @@ class TestRunTextStage:
         assert pairs[0].source == "[fr] morning good"
 
 
+def collect(sentences, translator=None, **kwargs):
+    stats = RejectionStats()
+    stage = iter_text_stage(
+        sentences, "tgt", translator or MockTranslator(tag_output=False), "src", stats, **kwargs
+    )
+    return list(stage), stats
+
+
+class TestIterTextStage:
+    def test_yields_before_pulling_a_second_chunk(self):
+        pulled = 0
+
+        def lines():
+            nonlocal pulled
+            for i in range(3 * textpipe._TEXT_CHUNK):
+                pulled += 1
+                yield f"sentence number {i}"
+
+        stage = iter_text_stage(lines(), "tgt", MockTranslator(), "src", RejectionStats())
+        first = next(stage)
+        assert first.id == "p00000000"
+        assert pulled <= textpipe._TEXT_CHUNK
+
+    def test_chunks_do_not_change_the_result(self, monkeypatch):
+        sentences = ["keep this", "drop [me]", "", "boom here", "and this one", "x y"] * 7
+        whole, whole_stats = collect(sentences, FlakyTranslator())
+        monkeypatch.setattr(textpipe, "_TEXT_CHUNK", 4)
+        chunked, chunked_stats = collect(iter(sentences), FlakyTranslator(), max_in_flight=3)
+        assert chunked == whole
+        assert chunked_stats.to_dict() == whole_stats.to_dict()
+        assert chunked_stats.is_conserved()
+
+
+# every break str.splitlines() knows, a lone "\r", "\r\n" and blank lines
+EVERY_BREAK = (
+    "eins\nzwei\r\ndrei\rvier\vfünf\fsechs\x1csieben\x1dacht\x1eneun"
+    "\x85zehn\u2028elf\u2029zwölf\n\n\r\n\r\rdreizehn Straße\r\n"
+)
+
+
+class TestIterLines:
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 64, 1 << 16])
+    @pytest.mark.parametrize("text", [EVERY_BREAK, EVERY_BREAK + "no final break", "", "\n"])
+    def test_matches_splitlines(self, tmp_path, monkeypatch, block, text):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(textpipe, "_READ_BLOCK", block)
+        assert list(iter_lines(path)) == path.read_text(encoding="utf-8").splitlines()
+
+    def test_crlf_straddling_a_block_boundary(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"ab\r\ncd\r\n")
+        monkeypatch.setattr(textpipe, "_READ_BLOCK", 3)  # b"ab\r" | b"\ncd" | ...
+        assert list(iter_lines(path)) == ["ab", "cd"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.text(alphabet=st.sampled_from(list("ab é€\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))),
+        st.integers(min_value=1, max_value=9),
+    )
+    def test_matches_splitlines_everywhere(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("lines") / "corpus.txt"
+        path.write_bytes(text.encode("utf-8"))
+        saved = textpipe._READ_BLOCK
+        textpipe._READ_BLOCK = block
+        try:
+            assert list(iter_lines(path)) == text.splitlines()
+        finally:
+            textpipe._READ_BLOCK = saved
+
+    @pytest.mark.parametrize("block", [1, 4, 1 << 16])
+    def test_bad_utf8_names_its_line_after_the_lines_before_it(self, tmp_path, monkeypatch, block):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"ok\nfine\r\nbad \xff here\nlater\n")
+        monkeypatch.setattr(textpipe, "_READ_BLOCK", block)
+        lines = iter_lines(path)
+        assert [next(lines), next(lines)] == ["ok", "fine"]
+        with pytest.raises(MalformedText, match=r"corpus\.txt:3: not valid UTF-8") as exc:
+            next(lines)
+        assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("data,line", [(b"\xc3", 1), (b"a\rb\r\xe2\x82", 3), (b"\n\xff\n", 2)])
+    def test_bad_utf8_at_the_edges(self, tmp_path, data, line):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(data)
+        with pytest.raises(MalformedText) as exc:
+            list(iter_lines(path))
+        assert exc.value.line_number == line
+
+
 class TestPairsTsv:
     def test_roundtrip(self, tmp_path):
         pairs = [
@@ -221,6 +323,27 @@ class TestPairsTsv:
         path.write_text("p1\ta b\tc d\n\np2\te f\tg h\np1\ti j\tk l\n")
         with pytest.raises(ValueError, match=r"dup\.tsv:4: pair id 'p1' already used on line 1"):
             read_pairs_tsv(path)
+
+    @pytest.mark.parametrize("pair_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\x00b"])
+    def test_id_must_be_a_plain_file_name(self, tmp_path, pair_id):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"p1\ta b\tc d\n{pair_id}\te f\tg h\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pairs\.tsv:2: pair id .* is not a plain file name"):
+            read_pairs_tsv(path)
+
+    def test_failed_write_leaves_the_old_file_and_no_partial(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        write_pairs_tsv([TextPair(id="old", source="a", target="b")], path)
+        before = path.read_bytes()
+
+        def pairs():
+            yield TextPair(id="p1", source="x", target="y")
+            raise PortError("engine died")
+
+        with pytest.raises(PortError):
+            write_pairs_tsv(pairs(), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]
 
 
 class TestReservoirTake:
