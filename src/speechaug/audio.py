@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -101,11 +103,14 @@ def load_wav(path: str | Path) -> AudioBuffer:
     (stereo is downmixed by averaging the channels). Chunks other than
     ``fmt `` and ``data`` are skipped. PCM16 samples are scaled by 1/32768.
 
-    Raises MalformedWav for container damage, UnsupportedEncoding for
-    valid containers in encodings we do not decode, and EmptyAudio for a
-    zero-length data payload.
+    Raises IoFailure when the file cannot be read, MalformedWav for
+    container damage, UnsupportedEncoding for valid containers in encodings
+    we do not decode, and EmptyAudio for a zero-length data payload.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:
+        raise IoFailure(f"could not read {path}: {err}") from err
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWav(f"{path}: missing RIFF/WAVE header")
 
@@ -184,19 +189,36 @@ def save_wav(buffer: AudioBuffer, path: str | Path, encoding: str = "float32") -
         raise ValueError(f"unknown encoding {encoding!r}")
 
     block = bits // 8
-    fmt_body = struct.pack(
-        "<HHIIHH", tag, 1, buffer.sample_rate, buffer.sample_rate * block, block, bits
-    )
-    body = b"WAVE"
-    body += b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+    rate = buffer.sample_rate
+    header = b"WAVEfmt " + struct.pack("<IHHIIHH", 16, tag, 1, rate, rate * block, block, bits)
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         # non-PCM encodings carry a fact chunk with the frame count
-        body += b"fact" + struct.pack("<II", 4, len(buffer))
-    body += b"data" + struct.pack("<I", len(payload)) + payload
+        header += b"fact" + struct.pack("<II", 4, len(buffer))
+    header += b"data" + struct.pack("<I", len(payload))
     try:
-        Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        _write_file(path, b"RIFF" + struct.pack("<I", len(header) + len(payload)) + header + payload)
     except OSError as err:
         raise IoFailure(f"could not write {path}: {err}") from err
+
+
+def _write_file(path: str | Path, content: bytes | Iterable[str]) -> None:
+    """Write bytes, or str chunks as UTF-8, to ``path`` through ``.NAME.partial``.
+
+    ``content`` may be a generator. The rename follows the last chunk, so
+    ``path`` is never seen partly written; on any exception the partial file
+    is removed. No fsync: this guards against a failed or killed process,
+    not a power loss.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    binary = isinstance(content, bytes)
+    try:
+        with open(partial, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
+            fh.writelines([content] if binary else content)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _round_half_up(value: float) -> int:

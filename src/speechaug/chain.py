@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, _write_file
 from .effects import NoiseBank, apply_lowpass, apply_pitch, apply_speed, mix_picks
 from .errors import ChainStageError, EmptyNoiseBank, SpeechAugError
 
@@ -106,7 +106,7 @@ class ChainConfig:
 
 
 def save_chain(config: ChainConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8")
+    _write_file(path, [json.dumps(config.to_dict(), indent=2) + "\n"])
 
 
 def load_chain(path: str | Path) -> ChainConfig:
@@ -155,7 +155,7 @@ class AppliedTrace:
     stages: tuple[StageTrace, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False)
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line: str) -> "AppliedTrace":

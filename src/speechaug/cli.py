@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import load_wav, save_wav
+from .audio import _write_file, load_wav, save_wav
 from .chain import ChainConfig, apply_chain, default_chain, load_chain, needs_bank
 from .effects import NoiseBank
 from .errors import SpeechAugError
@@ -85,12 +85,13 @@ def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank
     try:
         if args.noise_dir is not None:
             bank = NoiseBank.from_dir(args.noise_dir)
-            if len(bank) == 0:
-                raise CliError(f"no WAV files under {args.noise_dir}")
         elif args.noise_manifest is not None:
             bank = NoiseBank.from_manifest(args.noise_manifest)
     except (SpeechAugError, OSError, ValueError) as err:
         raise CliError(f"cannot load noise bank: {err}") from err
+    if bank is not None and len(bank) == 0:
+        source = args.noise_manifest if args.noise_dir is None else args.noise_dir
+        raise CliError(f"no noise entries in {source}")
     if bank is None and chain is not None and needs_bank(chain):
         raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
     return bank
@@ -115,10 +116,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
     outcomes = ordered_map(process, files, args.workers)
     failures = [(p.name, o) for p, o in zip(files, outcomes) if isinstance(o, SpeechAugError)]
-    with open(out_dir / "traces.jsonl", "w", encoding="utf-8") as fh:
-        for outcome in outcomes:
-            if not isinstance(outcome, SpeechAugError):
-                fh.write(outcome + "\n")
+    _write_file(out_dir / "traces.jsonl", (t + "\n" for t in outcomes if isinstance(t, str)))
 
     print(json.dumps({"processed": len(files) - len(failures), "failed": len(failures)}))
     if failures:
@@ -189,9 +187,7 @@ def cmd_textaug(args: argparse.Namespace) -> int:
     finally:
         if hasattr(translator, "close"):
             translator.close()
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_file(out_dir / "stats.json", [json.dumps(stats.to_dict(), indent=2) + "\n"])
     print(json.dumps(stats.to_dict()))
     if stats.translator_failures:
         log.error("%d sentences failed translation", stats.translator_failures)
@@ -270,8 +266,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         config = SamplerConfig(weights=_parse_weights(args.weights), seed=args.seed)
         stream = sample_stream(pools, config)
         sys.stdout.writelines(f"{record_id}\n" for record_id in islice(stream, args.count))
-    except SpeechAugError as err:
-        raise CliError(str(err)) from err
     except ValueError as err:
         raise CliError(str(err)) from err
     return EXIT_OK

@@ -20,7 +20,7 @@ class EmptyAudio(SpeechAugError):
 
 
 class IoFailure(SpeechAugError):
-    """Wraps an OS-level failure while writing audio."""
+    """Wraps an OS-level failure while reading or writing a file."""
 
 
 class FactorOutOfRange(SpeechAugError):

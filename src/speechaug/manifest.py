@@ -8,6 +8,7 @@ WAV file on disk and carries the reduced target units, the data origin
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ from typing import Any, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .audio import save_wav
+from .audio import _write_file, save_wav
 from .chain import ChainConfig, apply_chain
 from .effects import NoiseBank
 from .errors import EmptyCorpus, MalformedManifest, MalformedText, SpeechAugError
@@ -64,8 +65,7 @@ class ManifestRecord:
                 "origin": self.origin,
                 "src_lang": self.src_lang,
                 "tgt_lang": self.tgt_lang,
-            },
-            ensure_ascii=False,
+            }
         )
 
     @classmethod
@@ -92,10 +92,8 @@ class ManifestRecord:
 
 def write_manifest(records: Sequence[ManifestRecord], path: str | Path) -> None:
     """Write the header line followed by one JSON line per record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema": MANIFEST_SCHEMA}) + "\n")
-        for record in records:
-            fh.write(record.to_json() + "\n")
+    lines = (record.to_json() + "\n" for record in records)
+    _write_file(path, itertools.chain([json.dumps({"schema": MANIFEST_SCHEMA}) + "\n"], lines))
 
 
 def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:

@@ -22,7 +22,7 @@ from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 import numpy as np
 
 from .audio import AudioBuffer, load_wav, resample
-from .errors import EmptyText, MockRejected, PortError, SpeechAugError
+from .errors import EmptyText, IoFailure, MockRejected, PortError, SpeechAugError
 
 
 @runtime_checkable
@@ -210,13 +210,16 @@ class _LineProcess:
         if not command:
             raise ValueError("command must not be empty")
         self.command = tuple(command)
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                bufsize=1,
+            )
+        except OSError as err:
+            raise PortError(f"cannot start {self.command[0]}: {err}") from err
         self._lock = threading.Lock()
 
     def request(self, line: str) -> str:
@@ -292,7 +295,7 @@ class SubprocessSynthesizer(_LineProcess):
         path = self.request(f"{language}\t{flat}")
         try:
             buffer = load_wav(path)
-        except OSError as err:
+        except IoFailure as err:
             raise PortError(f"synthesizer reported {path!r} but it cannot be read: {err}") from err
         if buffer.sample_rate != self.sample_rate:
             buffer = resample(buffer, self.sample_rate)

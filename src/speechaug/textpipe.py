@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import codecs
 import operator
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from itertools import groupby, islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
+from .audio import _write_file
 from .errors import MalformedText, SpeechAugError
 from .ports import TranslatorPort, ordered_map
 
@@ -343,20 +343,10 @@ def reservoir_take(lines: Iterable[str], n: int, rng: Any) -> list[str]:
 def write_pairs_tsv(pairs: Iterable[TextPair], path: str | Path) -> None:
     """id, source, target as one tab-separated line per pair.
 
-    ``pairs`` may be a generator. Its lines go to a temporary file beside
-    ``path``, which takes the name ``path`` only once the last pair is
-    written, so a partial pairs file is never visible under its final name.
+    ``pairs`` may be a generator; the file appears under ``path`` only once
+    the last pair is written.
     """
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.partial")
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            for p in pairs:
-                fh.write(f"{p.id}\t{p.source}\t{p.target}\n")
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    _write_file(path, (f"{p.id}\t{p.source}\t{p.target}\n" for p in pairs))
 
 
 # A pair id names the file audio/<id>.wav, so it must be one plain file-name

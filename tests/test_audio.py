@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +16,28 @@ from hypothesis import strategies as st
 
 from speechaug import (
     AudioBuffer,
+    ChainConfig,
+    EffectSpec,
     EmptyAudio,
+    IoFailure,
     MalformedWav,
+    PortError,
+    TextPair,
     UnsupportedEncoding,
+    default_chain,
     load_wav,
     resample,
+    save_chain,
     save_wav,
+    write_manifest,
+    write_pairs_tsv,
 )
 from speechaug import audio
+from speechaug.cli import main
 from speechaug.effects import apply_speed
 
 from conftest import fft_peak_hz, make_sine
+from test_manifest import record
 
 
 def wav_bytes(
@@ -87,6 +100,12 @@ class TestLoadWav:
         path.write_bytes(b"OggS" + b"\x00" * 40)
         with pytest.raises(MalformedWav):
             load_wav(path)
+
+    @pytest.mark.parametrize("name", ["missing.wav", "directory.wav"])
+    def test_unreadable_path(self, tmp_path, name):
+        (tmp_path / "directory.wav").mkdir()
+        with pytest.raises(IoFailure, match=f"could not read .*{name}"):
+            load_wav(tmp_path / name)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.wav"
@@ -362,3 +381,94 @@ class TestResampleKernel:
         assert len(results) == 16
         for (_t, i), got in results.items():
             assert got == serial[i]
+
+
+# Each writes one output file, whose bytes depend on ``version``, and returns
+# its path.
+def write_wav(tmp_path: Path, version: int) -> Path:
+    path = tmp_path / "out.wav"
+    save_wav(make_sine(300.0 + 100.0 * version, 0.1, 16000), path)
+    return path
+
+
+def write_manifest_file(tmp_path: Path, version: int) -> Path:
+    path = tmp_path / "manifest.jsonl"
+    write_manifest([record(f"r{version}")], path)
+    return path
+
+
+def write_chain_file(tmp_path: Path, version: int) -> Path:
+    path = tmp_path / "chain.json"
+    save_chain(default_chain(version), path)
+    return path
+
+
+def write_pairs_file(tmp_path: Path, version: int) -> Path:
+    path = tmp_path / "pairs.tsv"
+    write_pairs_tsv([TextPair(id=f"p{version}", source="a", target="b")], path)
+    return path
+
+
+def write_traces_file(tmp_path: Path, version: int) -> Path:
+    in_dir = tmp_path / f"in{version}"
+    in_dir.mkdir()
+    save_wav(make_sine(300.0, 0.1, 16000), in_dir / f"u{version}.wav")
+    config = ChainConfig((EffectSpec("lowpass", 0.0, (300.0, 1000.0)),))
+    save_chain(config, tmp_path / "identity.json")
+    out_dir = tmp_path / "out"
+    argv = ["augment", "--in", str(in_dir), "--out", str(out_dir), "--seed", "1"]
+    assert main(argv + ["--config", str(tmp_path / "identity.json")]) == 0
+    return out_dir / "traces.jsonl"
+
+
+def write_stats_file(tmp_path: Path, version: int) -> Path:
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("good morning\n" * (version + 1), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = ["textaug", "--in", str(corpus), "--out", str(out_dir), "--language", "de"]
+    assert main(argv + ["--to", "en"]) == 0
+    return out_dir / "stats.json"
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize(
+        "write, error",
+        [
+            (write_wav, IoFailure),
+            (write_manifest_file, OSError),
+            (write_chain_file, OSError),
+            (write_pairs_file, OSError),
+            (write_traces_file, OSError),
+            (write_stats_file, OSError),
+        ],
+    )
+    def test_failed_write_leaves_the_old_file_and_no_partial(
+        self, tmp_path, monkeypatch, capsys, write, error
+    ):
+        path = write(tmp_path, 0)
+        before = path.read_bytes()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == path:
+                raise OSError(28, "No space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(error):
+            write(tmp_path, 1)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.partial"))
+
+    def test_failure_mid_stream_leaves_the_old_file_and_no_partial(self, tmp_path):
+        path = write_pairs_file(tmp_path, 0)
+        before = path.read_bytes()
+
+        def pairs():
+            yield TextPair(id="p1", source="x", target="y")
+            raise PortError("engine died")
+
+        with pytest.raises(PortError):
+            write_pairs_tsv(pairs(), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]

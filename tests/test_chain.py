@@ -211,6 +211,14 @@ class TestTraceAndReplay:
         back = AppliedTrace.from_json(trace.to_json())
         assert back == trace
 
+    def test_trace_json_is_one_ascii_line(self, buffer, bank):
+        utterance_id = "a\x85b\u2028c\u2029dü"
+        _, trace = apply_chain(certain(default_chain(11)), buffer, utterance_id, bank)
+        line = trace.to_json()
+        assert line.isascii()
+        assert line.splitlines() == [line]
+        assert AppliedTrace.from_json(line) == trace
+
     def test_replay_is_bit_exact(self, buffer, bank):
         config = default_chain(21)
         for i in range(10):

@@ -146,6 +146,25 @@ class TestAugment:
         assert (out_dir / "utt0.wav").exists()
         assert not (out_dir / "junk.wav").exists()
 
+    def test_unreadable_input_is_one_failed_item(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=2)
+        (in_dir / "bad.wav").mkdir()
+        config = write_identity_config(tmp_path / "chain.json")
+        out_dir = tmp_path / "out"
+        code = main([
+            "augment", "--in", str(in_dir), "--out", str(out_dir),
+            "--seed", "7", "--config", str(config),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"processed": 2, "failed": 1}
+        assert "ERROR speechaug: failed: bad.wav: could not read " in captured.err
+        assert "Traceback" not in captured.err
+        lines = (out_dir / "traces.jsonl").read_text().splitlines()
+        assert [AppliedTrace.from_json(line).utterance_id for line in lines] == ["utt0", "utt1"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["traces.jsonl", "utt0.wav", "utt1.wav"]
+
     def test_missing_input_dir(self, tmp_path):
         assert main([
             "augment", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "out"),
@@ -225,6 +244,34 @@ class TestBadNoiseManifest:
         assert not (tmp_path / "out").exists()
 
 
+def empty_noise_dir(tmp_path: Path) -> Path:
+    (tmp_path / "noise").mkdir()
+    return tmp_path / "noise"
+
+
+def listing_of_comments(tmp_path: Path) -> Path:
+    listing = tmp_path / "noise.tsv"
+    listing.write_text("# no entries yet\n\n")
+    return listing
+
+
+class TestEmptyNoiseBank:
+    @pytest.mark.parametrize(
+        "flag, make_source",
+        [("--noise-dir", empty_noise_dir), ("--noise-manifest", listing_of_comments)],
+    )
+    def test_is_a_configuration_error(self, tmp_path, capsys, flag, make_source):
+        source = make_source(tmp_path)
+        write_input_wavs(tmp_path / "in", count=1)
+        code = main([
+            "augment", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"),
+            "--seed", "1", flag, str(source),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no noise entries in {source}\n"
+        assert not (tmp_path / "out").exists()
+
+
 CORPUS_LINES = [
     "good morning",
     "the weather stays fine",
@@ -300,6 +347,19 @@ class TestTextaug:
             "textaug", "--in", str(corpus), "--out", str(tmp_path / "out"),
             "--language", "en", "--to", "xx", "--translator", "wizard",
         ]) == 1
+
+    def test_missing_translator_command(self, tmp_path, capsys):
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        missing = tmp_path / "no-such-engine"
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(tmp_path / "out"),
+            "--language", "de", "--to", "en", "--translator", f"subprocess:{missing}",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.splitlines()[0]]
+        assert err.startswith(f"error: cannot start {missing}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_policy_value(self, tmp_path):
         corpus = self.write_corpus(tmp_path / "corpus.txt")
@@ -397,6 +457,20 @@ class TestBuild:
             "--seed", "3", "--units-k", "50", "--no-effects",
             "--synthesizer", "parrot",
         ]) == 1
+
+    def test_missing_synthesizer_command(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path / "pairs.tsv")
+        missing = tmp_path / "no-such-engine"
+        code = main([
+            "build", "--pairs", str(pairs), "--out", str(tmp_path / "out"),
+            "--seed", "3", "--units-k", "50", "--no-effects",
+            "--synthesizer", f"subprocess:{missing}",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.splitlines()[0]]
+        assert err.startswith(f"error: cannot start {missing}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_pairs_file(self, tmp_path):
         assert main([

@@ -121,6 +121,15 @@ class TestManifestFile:
         write_manifest(records, path)
         assert read_manifest(path) == records
 
+    def test_roundtrip_with_line_separators_and_non_ascii_in_ids(self, tmp_path):
+        # str.splitlines() splits at \x85, \u2028 and \u2029, so they must
+        # be escaped inside a JSON line
+        records = [record(f"a{char}b") for char in ("\x85", "\u2028", "\u2029", "ü")]
+        path = tmp_path / "m.jsonl"
+        write_manifest(records, path)
+        assert path.read_bytes().isascii()
+        assert read_manifest(path) == records
+
     def test_header_line_comes_first(self, tmp_path):
         path = tmp_path / "m.jsonl"
         write_manifest([record()], path)

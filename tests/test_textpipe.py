@@ -331,20 +331,6 @@ class TestPairsTsv:
         with pytest.raises(ValueError, match=r"pairs\.tsv:2: pair id .* is not a plain file name"):
             read_pairs_tsv(path)
 
-    def test_failed_write_leaves_the_old_file_and_no_partial(self, tmp_path):
-        path = tmp_path / "pairs.tsv"
-        write_pairs_tsv([TextPair(id="old", source="a", target="b")], path)
-        before = path.read_bytes()
-
-        def pairs():
-            yield TextPair(id="p1", source="x", target="y")
-            raise PortError("engine died")
-
-        with pytest.raises(PortError):
-            write_pairs_tsv(pairs(), path)
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]
-
 
 class TestReservoirTake:
     def test_returns_everything_when_small(self):
