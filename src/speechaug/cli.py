@@ -365,11 +365,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (CliError, SpeechAugError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except BrokenPipeError:
         return EXIT_OK
+    # an OSError here is a run-level output (traces.jsonl, stats.json,
+    # pairs.tsv, the manifest) that cannot be written; WAV writes fail alone
+    except (CliError, SpeechAugError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

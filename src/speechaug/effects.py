@@ -98,7 +98,6 @@ def _stretch_to_length(x: np.ndarray, target_len: int, sample_rate: int) -> np.n
 
     out = np.zeros(target_len + frame, dtype=np.float64)
     weight = np.zeros(target_len + frame, dtype=np.float64)
-    windows_of = np.lib.stride_tricks.sliding_window_view(x, overlap)
     prev = -1
     for p in starts:
         nominal = int(round(p * span / last_start))
@@ -108,7 +107,8 @@ def _stretch_to_length(x: np.ndarray, target_len: int, sample_rate: int) -> np.n
             a = min(max(nominal, 0), span)
         else:
             ideal = min(prev + hop, n - overlap)
-            scores = windows_of[lo : hi + 1] @ x[ideal : ideal + overlap]
+            # scores[k] is the dot product of x[lo + k :] and x[ideal :] over the overlap
+            scores = np.correlate(x[lo : hi + overlap], x[ideal : ideal + overlap])
             a = lo + int(np.argmax(scores))
         out[p : p + frame] += x[a : a + frame] * window
         weight[p : p + frame] += window

@@ -70,6 +70,8 @@ class ManifestRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ManifestRecord":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"record must be a JSON object, not {type(data).__name__}")
         missing = [k for k in _RECORD_KEYS if k not in data]
         if missing:
             raise ValueError(f"missing fields: {', '.join(missing)}")
@@ -77,12 +79,15 @@ class ManifestRecord:
         if not isinstance(units_field, str):
             raise ValueError("target_units must be a space-separated string")
         units = tuple(map(int, units_field.split()))
+        duration_s = data["duration_s"]
+        if not isinstance(duration_s, (int, float, str)):
+            raise ValueError(f"duration_s must be a number, not {type(duration_s).__name__}")
         # a manifest repeats a handful of origins and languages on every
         # line; interned, each record shares one string per value
         return cls(
             id=str(data["id"]),
             source_audio=str(data["source_audio"]),
-            duration_s=float(data["duration_s"]),
+            duration_s=float(duration_s),
             target_units=UnitSequence(units, reduced=True),
             origin=sys.intern(str(data["origin"])),
             src_lang=sys.intern(str(data["src_lang"])),

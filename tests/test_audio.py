@@ -320,22 +320,42 @@ class TestResampleKernel:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize(
+        "ratio",
+        [1 / 0.95, 1 / 1.05, 0.5, 2.0, 22050 / 16000, 16000 / 22050, 16000 / 44100],
+        ids=["speed0.95", "speed1.05", "half", "double", "16k-22k", "22k-16k", "44k-16k"],
+    )
+    @pytest.mark.parametrize(
+        "n",
+        [1, 63, 64, 65, audio._RESAMPLE_BLOCK - 1, audio._RESAMPLE_BLOCK, audio._RESAMPLE_BLOCK + 1],
+    )
+    def test_matches_exact_kernel_to_1e9(self, n, ratio):
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = audio._resample_ratio(x, ratio)
+        want = reference_resample(x, ratio)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize(
         "cutoff",
         [0.5, 0.5 / 1.05, 0.5 * 16000 / 22050, 0.5 * 16000 / 44100],
         ids=["up", "speed1.05", "22k-16k", "44k-16k"],
     )
-    def test_phase_table_equals_two_sided_evaluation(self, cutoff):
-        # every phase evaluated directly, with no mirroring
+    def test_series_reproduces_kernel(self, cutoff):
+        # every tap at 4097 read positions, the series summed with
+        # T_m(t) = cos(m * arccos(t)) rather than the kernel's recurrence;
+        # at 12 terms the largest error is 9.3e-12 (cutoff 0.5)
         half = audio.RESAMPLE_TAPS // 2
         offsets = np.arange(1 - half, half + 1, dtype=np.float64)
-        phases = np.arange(audio.RESAMPLE_PHASES + 1, dtype=np.float64) / audio.RESAMPLE_PHASES
+        phases = np.arange(4097, dtype=np.float64) / 4096
         delta = phases[:, None] - offsets[None, :]
         kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * delta)
         kernel *= 0.5 + 0.5 * np.cos((np.pi / half) * delta)
-        want = np.stack([kernel[:-1], np.diff(kernel, axis=0)], axis=1)
-        rows, sums = audio._phase_table(cutoff)
-        assert np.array_equal(rows, want)
-        assert np.array_equal(sums, want.sum(axis=2))
+        coef, coef_sum = audio._kernel_series(cutoff)
+        assert coef.shape == (audio.RESAMPLE_TAPS, audio._RESAMPLE_TERMS)
+        degrees = np.arange(audio._RESAMPLE_TERMS)
+        basis = np.cos(np.outer(np.arccos(2.0 * phases - 1.0), degrees))
+        np.testing.assert_allclose(basis @ coef.T, kernel, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(basis @ coef_sum, kernel.sum(axis=1), rtol=0, atol=1e-10)
 
     def test_rejects_alias_when_downsampling(self):
         # 5.5 kHz lies above the 4 kHz Nyquist of the 8 kHz output, so the
@@ -348,7 +368,7 @@ class TestResampleKernel:
 
     def test_cold_table_cache_under_threads(self):
         buf = AudioBuffer(np.random.default_rng(7).uniform(-0.5, 0.5, 5000), 16000)
-        # upsampling (shared table) and downsampling (per-call table) mixed
+        # upsampling and downsampling mixed
         calls = [
             lambda: apply_speed(buf, 0.9),
             lambda: apply_speed(buf, 1.1),
@@ -357,7 +377,6 @@ class TestResampleKernel:
         ]
         serial = [call().samples.tobytes() for call in calls]
 
-        audio._upsampling_table.cache_clear()
         results: dict[tuple[int, int], bytes] = {}
         barrier = threading.Barrier(4)
 
@@ -381,6 +400,16 @@ class TestResampleKernel:
         assert len(results) == 16
         for (_t, i), got in results.items():
             assert got == serial[i]
+
+
+class CliFailed(Exception):
+    """``main`` returned a non-zero exit code."""
+
+
+def run_cli(argv: list[str]) -> None:
+    # main reports a failed run-level write as one error line and exit 1
+    if main(argv) != 0:
+        raise CliFailed(argv[0])
 
 
 # Each writes one output file, whose bytes depend on ``version``, and returns
@@ -417,7 +446,7 @@ def write_traces_file(tmp_path: Path, version: int) -> Path:
     save_chain(config, tmp_path / "identity.json")
     out_dir = tmp_path / "out"
     argv = ["augment", "--in", str(in_dir), "--out", str(out_dir), "--seed", "1"]
-    assert main(argv + ["--config", str(tmp_path / "identity.json")]) == 0
+    run_cli(argv + ["--config", str(tmp_path / "identity.json")])
     return out_dir / "traces.jsonl"
 
 
@@ -426,7 +455,7 @@ def write_stats_file(tmp_path: Path, version: int) -> Path:
     corpus.write_text("good morning\n" * (version + 1), encoding="utf-8")
     out_dir = tmp_path / "out"
     argv = ["textaug", "--in", str(corpus), "--out", str(out_dir), "--language", "de"]
-    assert main(argv + ["--to", "en"]) == 0
+    run_cli(argv + ["--to", "en"])
     return out_dir / "stats.json"
 
 
@@ -438,8 +467,8 @@ class TestWriteFile:
             (write_manifest_file, OSError),
             (write_chain_file, OSError),
             (write_pairs_file, OSError),
-            (write_traces_file, OSError),
-            (write_stats_file, OSError),
+            (write_traces_file, CliFailed),
+            (write_stats_file, CliFailed),
         ],
     )
     def test_failed_write_leaves_the_old_file_and_no_partial(

@@ -116,6 +116,20 @@ class TestAugment:
         assert [t.utterance_id for t in traces] == [p.stem for p in inputs]
         assert all(len(t.stages) == 4 for t in traces)
 
+    def test_unwritable_traces_file_is_one_error_line(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir)
+        out_dir = tmp_path / "out"
+        (out_dir / "traces.jsonl").mkdir(parents=True)
+        assert main([
+            "augment", "--in", str(in_dir), "--out", str(out_dir), "--seed", "5",
+            "--config", str(write_identity_config(tmp_path / "chain.json")),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: [Errno 21] Is a directory")
+        assert not (out_dir / ".traces.jsonl.partial").exists()
+
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         in_dir = tmp_path / "in"
         write_input_wavs(in_dir)
@@ -307,6 +321,19 @@ class TestTextaug:
         assert accounted == len(CORPUS_LINES)
         assert (out_dir / "pairs.tsv").is_file()
         assert json.loads((out_dir / "stats.json").read_text()) == stats
+
+    def test_unwritable_stats_file_is_one_error_line(self, tmp_path, capsys):
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        out_dir = tmp_path / "out"
+        (out_dir / "stats.json").mkdir(parents=True)
+        assert main([
+            "textaug", "--in", str(corpus), "--out", str(out_dir),
+            "--language", "en", "--to", "xx", "--translator", "mock-notag",
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: [Errno 21] Is a directory")
+        assert not (out_dir / ".stats.json.partial").exists()
 
     def test_reversal_shows_up_in_pairs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
@@ -543,6 +570,30 @@ FLAKY_ENGINE = """
 """
 
 
+# A manifest line of the wrong JSON type, as (text in place of record "b",
+# the reason that follows "line 3: ").
+WRONG_TYPE_LINES = [
+    pytest.param("5", "record must be a JSON object, not int", id="int"),
+    pytest.param("null", "record must be a JSON object, not NoneType", id="null"),
+    pytest.param("true", "record must be a JSON object, not bool", id="bool"),
+    pytest.param('"b"', "record must be a JSON object, not str", id="string"),
+    pytest.param("[1, 2]", "record must be a JSON object, not list", id="list"),
+    pytest.param('{"duration_s": null}', "duration_s must be a number, not NoneType", id="duration-null"),
+    pytest.param('{"duration_s": [3.0]}', "duration_s must be a number, not list", id="duration-list"),
+    pytest.param('{"duration_s": {"s": 3.0}}', "duration_s must be a number, not dict", id="duration-object"),
+]
+
+
+def write_wrong_type_manifest(path: Path, text: str) -> Path:
+    write_manifest([record("a", 2.0), record("b", 3.0)], path)
+    header, first, second = path.read_text().splitlines()
+    if text.startswith("{"):
+        # a whole record with only duration_s of the wrong type
+        text = json.dumps({**json.loads(second), **json.loads(text)})
+    path.write_text("\n".join([header, first, text]) + "\n")
+    return path
+
+
 class TestSample:
     def write_manifests(self, tmp_path: Path) -> tuple[Path, Path]:
         real = tmp_path / "real.jsonl"
@@ -621,6 +672,20 @@ class TestSample:
             f"error: cannot read manifest {real}: line 5: not valid UTF-8 (invalid start byte)"
         ]
 
+    @pytest.mark.parametrize("text,reason", WRONG_TYPE_LINES)
+    def test_wrong_json_type_is_one_error_line(self, tmp_path, capsys, text, reason):
+        real, aug = self.write_manifests(tmp_path)
+        write_wrong_type_manifest(real, text)
+        assert main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--weights", "real=0.5,text_aug=0.5", "-n", "5", "--seed", "2",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot read manifest {real}: line 3: {reason}"
+        ]
+
     def test_weighted_empty_origin(self, tmp_path):
         real, _ = self.write_manifests(tmp_path)
         empty = tmp_path / "empty.jsonl"
@@ -656,6 +721,14 @@ class TestStats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: line 3: record 'b': duration must be positive and finite")
+
+    @pytest.mark.parametrize("text,reason", WRONG_TYPE_LINES)
+    def test_wrong_json_type_is_one_error_line(self, tmp_path, capsys, text, reason):
+        path = write_wrong_type_manifest(tmp_path / "m.jsonl", text)
+        assert main(["stats", "--manifest", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: line 3: {reason}"]
 
     def test_non_utf8_manifest(self, tmp_path, capsys):
         path = tmp_path / "m.jsonl"
