@@ -180,9 +180,7 @@ def cmd_textaug(args: argparse.Namespace) -> int:
     stats = RejectionStats()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        pairs = iter_text_stage(
-            sentences, args.language, translator, args.to, stats, policy, args.workers
-        )
+        pairs = iter_text_stage(sentences, args.language, translator, args.to, stats, policy)
         write_pairs_tsv(pairs, out_dir / "pairs.tsv")
     finally:
         if hasattr(translator, "close"):
@@ -203,7 +201,9 @@ def cmd_build(args: argparse.Namespace) -> int:
         pairs = read_pairs_tsv(pairs_path)
     except ValueError as err:
         raise CliError(str(err)) from err
-    chain = None if args.no_effects else _load_chain_config(args)
+    # a chain that perturbs neither side is not loaded, and needs no bank
+    unused = args.no_effects or (args.no_augment_source and not args.augment_target)
+    chain = None if unused else _load_chain_config(args)
     bank = _load_bank(args, chain)
     synthesizer = _make_synthesizer(args.synthesizer, args.sample_rate)
     unitizer = MockUnitizer(vocabulary_size=args.units_k)
@@ -280,6 +280,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_noise_options(p: argparse.ArgumentParser) -> None:
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise-dir", help="directory of noise WAVs")
+    noise.add_argument("--noise-manifest", help="noise listing of path<TAB>category lines")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="speechaug", description=__doc__)
     parser.add_argument("--log-level", default="INFO", help="logging level for stderr")
@@ -290,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", required=True, help="output directory")
     p.add_argument("--seed", type=int, required=True, help="global seed")
     p.add_argument("--config", help="chain config JSON (default: the standard chain)")
-    p.add_argument("--noise-dir", help="directory of noise WAVs")
-    p.add_argument("--noise-manifest", help="noise listing of path<TAB>category lines")
+    _add_noise_options(p)
     p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_augment)
 
@@ -303,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translator", default="mock", help="mock, mock-notag or subprocess:CMD")
     p.add_argument("--take-n", type=int, default=None, help="reservoir-sample N input lines")
     p.add_argument("--seed", type=int, default=None, help="seed (required with --take-n)")
-    p.add_argument("--workers", type=int, default=1, help="translation requests in flight")
     p.add_argument("--max-length-ratio", type=float, default=3.0)
     p.add_argument("--max-repetition-run", type=int, default=3)
     p.add_argument("--min-tokens", type=int, default=1)
@@ -319,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate", type=int, default=16000)
     p.add_argument("--config", help="chain config JSON (default: the standard chain)")
     p.add_argument("--no-effects", action="store_true", help="skip acoustic perturbation")
-    p.add_argument("--noise-dir", help="directory of noise WAVs")
-    p.add_argument("--noise-manifest", help="noise listing of path<TAB>category lines")
+    _add_noise_options(p)
     p.add_argument("--synthesizer", default="mock", help="mock or subprocess:CMD")
     p.add_argument("--src-lang", default="src")
     p.add_argument("--tgt-lang", default="tgt")

@@ -130,75 +130,63 @@ def apply_pitch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     return AudioBuffer(y, buffer.sample_rate)
 
 
-def _biquad_blocks(
-    b0: float, b1: float, b2: float, a1: float, a2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Block matrices of one biquad in direct form II transposed.
+def _butter4_system(
+    cutoff_hz: float, sample_rate: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The 4th-order Butterworth low-pass as one 4-state system (A, B, C, D):
+    s' = A s + B x, y = C s + D x.
 
-    With state z = (z1, z2), the biquad is y = b0*x + z1 and z' = A z + B x,
-    where A = [[-a1, 1], [-a2, 0]] and B = (b1 - a1*b0, b2 - a2*b0). By
-    Cayley-Hamilton, A^i = p_i A + q_i I, with p_0 = 0, p_1 = 1,
-    p_(i+1) = -a1 p_i - a2 p_(i-1) and q_i = -a2 p_(i-1) (q_0 = 1), so one
-    scalar recursion gives every power of A the block form needs.
-
-    For L = ``_LOWPASS_BLOCK`` returns the impulse response (L), the
-    zero-input responses to a unit z1 and a unit z2 (2 x L), the
-    input-to-end-state map (2 x L, column m is A^(L-1-m) B) and A^L.
+    Each biquad (bilinear transform, prewarped) is in direct form II
+    transposed, y = b0 u + z1 and z' = [[-a1, 1], [-a2, 0]] z +
+    (b1 - a1 b0, b2 - a2 b0) u, and takes the previous output as its u.
     """
-    size = _LOWPASS_BLOCK
-    p = [0.0, 1.0]
-    for _ in range(size - 1):
-        p.append(-a1 * p[-1] - a2 * p[-2])
-    p = np.array(p)
-    q = np.concatenate([[1.0], -a2 * p[:-1]])
-    bz1, bz2 = b1 - a1 * b0, b2 - a2 * b0
-    # A^i B = p_i (A B) + q_i B, for i = 0 .. L
-    ab = np.stack([p * (bz2 - a1 * bz1) + q * bz1, p * (-a2 * bz1) + q * bz2])
-    h = np.concatenate([[b0], ab[0, : size - 1]])
-    o = np.stack([q - a1 * p, p])[:, :size]
-    a_l = np.array([[q[size] - a1 * p[size], p[size]], [-a2 * p[size], q[size]]])
-    return h, o, ab[:, size - 1 :: -1], a_l
+    k = math.tan(math.pi * cutoff_hz / sample_rate)
+    k2 = k * k
+    a, b, c, d = np.zeros((4, 4)), np.zeros(4), np.zeros(4), 1.0
+    for i, q in enumerate(_BUTTER4_Q):
+        norm = 1.0 / (1.0 + k / q + k2)
+        b0 = k2 * norm
+        a1 = 2.0 * (k2 - 1.0) * norm
+        a2 = (1.0 - k / q + k2) * norm
+        bz = np.array([2.0 * b0 - a1 * b0, b0 - a2 * b0])
+        z = slice(2 * i, 2 * i + 2)
+        # this section's input is the previous output C s + D x
+        a[z] = np.outer(bz, c)
+        a[z, z] = [[-a1, 1.0], [-a2, 0.0]]
+        b[z] = bz * d
+        c = b0 * c + np.eye(4)[2 * i]
+        d *= b0
+    return a, b, c, d
 
 
 def _lowpass_samples(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:
     """4th-order Butterworth low-pass of a float64 array, from a zero state.
 
-    Burrus's block realization of the two cascaded biquads ("Block
-    realization of digital filters", IEEE Trans. Audio Electroacoust.
-    AU-20(4), 1972), run as one 4-state system over blocks of L samples:
+    Burrus's block realization ("Block realization of digital filters",
+    IEEE Trans. Audio Electroacoust. AU-20(4), 1972) of ``_butter4_system``
+    over blocks of L samples. Every block matrix is read off the powers
+    A^0 .. A^L, each A times the one before:
 
-    - one product with the L x L Toeplitz of the impulse response gives
-      every block's zero-state output, and one with the 4 x L
-      input-to-state map gives every block's end state from a zero start;
-    - a scan over the blocks carries the 4-vector state through A^L;
-    - one last product adds each block's zero-input response.
+    - the Toeplitz of the impulse response (D, CB, CAB, ...) gives every
+      block's zero-state output, and the input-to-state map (column m is
+      A^(L-1-m) B) every block's end state from a zero start;
+    - a scan carries the 4-vector state from block to block through A^L;
+    - the zero-input rows C A^i add each block's response to its start.
 
-    The products are ``np.einsum`` calls without ``optimize``, so they run
-    in numpy's own single-threaded loops and never start BLAS threads that
-    would compete with the worker threads.
+    The products over the signal are ``np.einsum`` calls without
+    ``optimize``, run in numpy's own single-threaded loops; the 4 x 4
+    set-up products are too small for BLAS to split across threads.
     """
     size = _LOWPASS_BLOCK
-    k = math.tan(math.pi * cutoff_hz / sample_rate)
-    k2 = k * k
-    sections = []
-    for q in _BUTTER4_Q:
-        norm = 1.0 / (1.0 + k / q + k2)
-        b0 = k2 * norm
-        a1 = 2.0 * (k2 - 1.0) * norm
-        a2 = (1.0 - k / q + k2) * norm
-        sections.append(_biquad_blocks(b0, 2.0 * b0, b0, a1, a2))
-    (h1, o1, in1, pow1), (h2, o2, in2, pow2) = sections
-
-    # Cascade: the second section filters the first one's output, so its
-    # state picks up the first one's zero-input response, and its end state
-    # sees the block input through the first section's Toeplitz.
-    h = np.convolve(h1, h2)[:size]
-    o = np.concatenate([[np.convolve(h2, row)[:size] for row in o1], o2])
-    k_in = np.concatenate([in1, [np.convolve(row[::-1], h1)[size - 1 :: -1] for row in in2]])
-    a_l = np.zeros((4, 4))
-    a_l[:2, :2] = pow1
-    a_l[2:, :2] = np.einsum("km,jm->kj", in2, o1)
-    a_l[2:, 2:] = pow2
+    a, b, c, d = _butter4_system(cutoff_hz, sample_rate)
+    powers = [np.eye(4)]
+    for _ in range(size):
+        powers.append(a @ powers[-1])
+    powers = np.array(powers)
+    # 4 x L and contiguous, which keeps the einsum products below fast
+    zero_input = (c @ powers[:size]).T.copy()
+    to_state = (powers[size - 1 :: -1] @ b).T.copy()
+    h = np.concatenate([[d], b @ zero_input[:, : size - 1]])
 
     # row m of the upper-triangular Toeplitz holds h[i - m] at column i >= m
     padded = np.concatenate([np.zeros(size - 1), h])
@@ -210,10 +198,11 @@ def _lowpass_samples(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.nd
     xb[: len(x)] = x
     xb = xb.reshape(blocks, size)
     y = np.einsum("bm,mi->bi", xb, toeplitz)
-    ends = np.einsum("bm,km->bk", xb, k_in).tolist()
+    ends = np.einsum("bm,km->bk", xb, to_state).tolist()
 
+    # A is block lower triangular, so the upper-right 2 x 2 of A^L is exactly zero
     (r00, r01, _, _), (r10, r11, _, _), (r20, r21, r22, r23), (r30, r31, r32, r33) = (
-        a_l.tolist()
+        powers[size].tolist()
     )
     s0 = s1 = s2 = s3 = 0.0
     starts = []
@@ -225,7 +214,7 @@ def _lowpass_samples(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.nd
             r20 * s0 + r21 * s1 + r22 * s2 + r23 * s3 + e2,
             r30 * s0 + r31 * s1 + r32 * s2 + r33 * s3 + e3,
         )
-    y += np.einsum("bk,ki->bi", np.array(starts).reshape(blocks, 4), o)
+    y += np.einsum("bk,ki->bi", np.array(starts).reshape(blocks, 4), zero_input)
     return y.reshape(-1)[: len(x)]
 
 
@@ -233,11 +222,11 @@ def apply_lowpass(buffer: AudioBuffer, cutoff_hz: float) -> AudioBuffer:
     """4th-order Butterworth low-pass at ``cutoff_hz``. Length is preserved.
 
     Two biquads from the bilinear transform with frequency prewarping, so the
-    -3 dB point lands exactly on ``cutoff_hz``, run from a zero state in
-    Burrus's block realization (see ``_lowpass_samples``). That is exact in
-    real arithmetic; in float64 it stays within 1e-9 of the per-sample
-    direct form II transposed recursion on unit-scale input, from 1 Hz to
-    just below Nyquist.
+    -3 dB point lands exactly on ``cutoff_hz``, written as one 4-state system
+    (``_butter4_system``) and run from a zero state in Burrus's block
+    realization (``_lowpass_samples``). That is exact in real arithmetic; in
+    float64 it stays within 1e-9 of the per-sample direct form II transposed
+    recursion on unit-scale input, from 1 Hz to just below Nyquist.
     """
     if not (0.0 < cutoff_hz < buffer.sample_rate / 2.0):
         raise CutoffAboveNyquist(

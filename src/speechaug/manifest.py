@@ -75,23 +75,23 @@ class ManifestRecord:
         missing = [k for k in _RECORD_KEYS if k not in data]
         if missing:
             raise ValueError(f"missing fields: {', '.join(missing)}")
-        units_field = data["target_units"]
-        if not isinstance(units_field, str):
-            raise ValueError("target_units must be a space-separated string")
-        units = tuple(map(int, units_field.split()))
         duration_s = data["duration_s"]
-        if not isinstance(duration_s, (int, float, str)):
+        # bool is an int subclass; the writer only ever writes numbers
+        if isinstance(duration_s, bool) or not isinstance(duration_s, (int, float)):
             raise ValueError(f"duration_s must be a number, not {type(duration_s).__name__}")
+        for key in _RECORD_KEYS:
+            if key != "duration_s" and not isinstance(data[key], str):
+                raise ValueError(f"{key} must be a string, not {type(data[key]).__name__}")
         # a manifest repeats a handful of origins and languages on every
         # line; interned, each record shares one string per value
         return cls(
-            id=str(data["id"]),
-            source_audio=str(data["source_audio"]),
+            id=data["id"],
+            source_audio=data["source_audio"],
             duration_s=float(duration_s),
-            target_units=UnitSequence(units, reduced=True),
-            origin=sys.intern(str(data["origin"])),
-            src_lang=sys.intern(str(data["src_lang"])),
-            tgt_lang=sys.intern(str(data["tgt_lang"])),
+            target_units=UnitSequence(tuple(map(int, data["target_units"].split())), reduced=True),
+            origin=sys.intern(data["origin"]),
+            src_lang=sys.intern(data["src_lang"]),
+            tgt_lang=sys.intern(data["tgt_lang"]),
         )
 
 
@@ -124,7 +124,8 @@ def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
                 continue
             try:
                 record = ManifestRecord.from_dict(json.loads(raw))
-            except (json.JSONDecodeError, ValueError) as err:
+            # an integer duration too large for a float raises OverflowError
+            except (json.JSONDecodeError, ValueError, OverflowError) as err:
                 raise MalformedManifest(line_no, str(err)) from err
             yield record
     except MalformedText as err:

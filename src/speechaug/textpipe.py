@@ -113,9 +113,19 @@ def clean_sentence(sentence: str, policy: FilterPolicy | None = None) -> CleanRe
     return CleanResult(normalized, None)
 
 
+# Every character str.splitlines() breaks a line at ("\r\n" is one break).
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# What would split a field of a pairs TSV line.
+_TSV_BREAKS = re.compile(f"[\t{re.escape(_LINE_BREAKS)}]")
+
+
 @dataclass(frozen=True)
 class TextPair:
-    """One parallel sentence pair with a stable id."""
+    """One parallel sentence pair with a stable id.
+
+    No field may hold a tab or a line break, so every pair is one line of
+    a pairs TSV.
+    """
 
     id: str
     source: str
@@ -124,6 +134,8 @@ class TextPair:
     def __post_init__(self) -> None:
         if not self.source or not self.target:
             raise ValueError(f"pair {self.id!r} has an empty side")
+        if _TSV_BREAKS.search(f"{self.id} {self.source} {self.target}"):
+            raise ValueError(f"pair {self.id!r} holds a tab or a line break")
 
 
 def _longest_run(tokens: Sequence[str]) -> int:
@@ -169,8 +181,6 @@ class TextCorpus:
 
 # Bytes of a text file read at a time.
 _READ_BLOCK = 1 << 16
-# Every character str.splitlines() breaks a line at ("\r\n" is one break).
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:

@@ -258,6 +258,27 @@ class TestBadNoiseManifest:
         assert not (tmp_path / "out").exists()
 
 
+class TestNoiseFlags:
+    @pytest.mark.parametrize("command", ["augment", "build"])
+    def test_dir_and_manifest_exclude_each_other(self, tmp_path, capsys, command):
+        if command == "augment":
+            write_input_wavs(tmp_path / "in", count=1)
+            args = ["augment", "--in", str(tmp_path / "in")]
+        else:
+            write_pairs_tsv([TextPair(id="p1", source="a b", target="c d")], tmp_path / "pairs.tsv")
+            args = ["build", "--pairs", str(tmp_path / "pairs.tsv"), "--units-k", "50"]
+        code = main(args + [
+            "--out", str(tmp_path / "out"), "--seed", "1",
+            "--noise-dir", str(write_noise_dir(tmp_path / "noise")),
+            "--noise-manifest", str(tmp_path / "nonexistent.tsv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: argument --noise-manifest: not allowed with argument --noise-dir\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+
 def empty_noise_dir(tmp_path: Path) -> Path:
     (tmp_path / "noise").mkdir()
     return tmp_path / "noise"
@@ -321,6 +342,15 @@ class TestTextaug:
         assert accounted == len(CORPUS_LINES)
         assert (out_dir / "pairs.tsv").is_file()
         assert json.loads((out_dir / "stats.json").read_text()) == stats
+
+    def test_workers_is_not_an_option(self, tmp_path, capsys):
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        assert main([
+            "textaug", "--in", str(corpus), "--out", str(tmp_path / "out"),
+            "--language", "en", "--to", "xx", "--workers", "2",
+        ]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --workers 2\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_stats_file_is_one_error_line(self, tmp_path, capsys):
         corpus = self.write_corpus(tmp_path / "corpus.txt")
@@ -477,6 +507,15 @@ class TestBuild:
             "--seed", "3", "--units-k", "50",
         ]) == 1
 
+    def test_no_augmented_side_needs_no_bank(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path / "pairs.tsv")
+        base = ["build", "--pairs", str(pairs), "--seed", "3", "--units-k", "50"]
+        assert main(base + ["--out", str(tmp_path / "plain"), "--no-augment-source"]) == 0
+        assert main(base + ["--out", str(tmp_path / "ref"), "--no-effects"]) == 0
+        assert capsys.readouterr().err == ""
+        assert dir_bytes(tmp_path / "plain") == dir_bytes(tmp_path / "ref")
+        assert dir_bytes(tmp_path / "plain" / "audio") == dir_bytes(tmp_path / "ref" / "audio")
+
     def test_unknown_synthesizer(self, tmp_path):
         pairs = self.write_pairs(tmp_path / "pairs.tsv")
         assert main([
@@ -581,6 +620,22 @@ WRONG_TYPE_LINES = [
     pytest.param('{"duration_s": null}', "duration_s must be a number, not NoneType", id="duration-null"),
     pytest.param('{"duration_s": [3.0]}', "duration_s must be a number, not list", id="duration-list"),
     pytest.param('{"duration_s": {"s": 3.0}}', "duration_s must be a number, not dict", id="duration-object"),
+    pytest.param('{"duration_s": true}', "duration_s must be a number, not bool", id="duration-bool"),
+    pytest.param('{"duration_s": "3.0"}', "duration_s must be a number, not str", id="duration-string"),
+    pytest.param(
+        '{"duration_s": 1' + "0" * 400 + "}", "int too large to convert to float", id="duration-huge-int"
+    ),
+    pytest.param('{"id": 7}', "id must be a string, not int", id="id-int"),
+    pytest.param('{"source_audio": null}', "source_audio must be a string, not NoneType", id="audio-null"),
+    pytest.param('{"target_units": [1, 2]}', "target_units must be a string, not list", id="units-list"),
+    pytest.param('{"origin": 1}', "origin must be a string, not int", id="origin-int"),
+    pytest.param('{"src_lang": ["x"]}', "src_lang must be a string, not list", id="src-lang-list"),
+    pytest.param('{"tgt_lang": false}', "tgt_lang must be a string, not bool", id="tgt-lang-bool"),
+    pytest.param(
+        '{"id": 7, "duration_s": true, "src_lang": ["x"]}',
+        "duration_s must be a number, not bool",
+        id="three-wrong",
+    ),
 ]
 
 

@@ -332,6 +332,26 @@ class TestPairsTsv:
             read_pairs_tsv(path)
 
 
+    @pytest.mark.parametrize("field", ["id", "source", "target"])
+    @pytest.mark.parametrize("char", list("\t" + textpipe._LINE_BREAKS))
+    def test_pair_refuses_a_tab_or_line_break(self, field, char):
+        fields = {"id": "p1", "source": "a b", "target": "c d"}
+        fields[field] = f"x{char}y"
+        with pytest.raises(ValueError, match="holds a tab or a line break"):
+            TextPair(**fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(min_size=1), st.text(min_size=1))
+    def test_every_pair_that_exists_reads_back(self, tmp_path_factory, source, target):
+        try:
+            pair = TextPair(id="p1", source=source, target=target)
+        except ValueError:
+            return
+        path = tmp_path_factory.mktemp("tsv") / "pairs.tsv"
+        write_pairs_tsv([pair], path)
+        assert read_pairs_tsv(path) == [pair]
+
+
 class TestReservoirTake:
     def test_returns_everything_when_small(self):
         rng = np.random.default_rng(0)
