@@ -79,8 +79,10 @@ def _load_chain_config(args: argparse.Namespace) -> ChainConfig:
 
 
 def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank | None:
-    """The bank named by --noise-dir or --noise-manifest, or None; a chain
-    that mixes noise must get one."""
+    """The bank named by --noise-dir or --noise-manifest, or None; None when
+    no chain runs, and a chain that mixes noise must get one."""
+    if chain is None:
+        return None
     bank = None
     try:
         if args.noise_dir is not None:
@@ -92,7 +94,7 @@ def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank
     if bank is not None and len(bank) == 0:
         source = args.noise_manifest if args.noise_dir is None else args.noise_dir
         raise CliError(f"no noise entries in {source}")
-    if bank is None and chain is not None and needs_bank(chain):
+    if bank is None and needs_bank(chain):
         raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
     return bank
 
@@ -114,7 +116,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
         save_wav(out, out_dir / path.name, encoding="float32")
         return trace.to_json()
 
-    outcomes = ordered_map(process, files, args.workers)
+    # each item is a pure function of its path, the chain and the bank
+    outcomes = ordered_map(process, files, args.workers, processes=True)
     failures = [(p.name, o) for p, o in zip(files, outcomes) if isinstance(o, SpeechAugError)]
     _write_file(out_dir / "traces.jsonl", (t + "\n" for t in outcomes if isinstance(t, str)))
 
@@ -280,6 +283,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_noise_options(p: argparse.ArgumentParser) -> None:
     noise = p.add_mutually_exclusive_group()
     noise.add_argument("--noise-dir", help="directory of noise WAVs")
@@ -297,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="global seed")
     p.add_argument("--config", help="chain config JSON (default: the standard chain)")
     _add_noise_options(p)
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("textaug", help="clean, translate and filter a text corpus")
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--origin", default="text_aug", choices=["real", "text_aug"])
     p.add_argument("--no-augment-source", action="store_true")
     p.add_argument("--augment-target", action="store_true")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_positive_int, default=1, help="worker threads")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("sample", help="stream record ids drawn by origin weights")

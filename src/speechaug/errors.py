@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SpeechAugError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Every subclass pickles, so a worker process can hand one back: the copy
+    is rebuilt from ``args`` (the message) and the attributes, without
+    calling an ``__init__`` whose parameters differ from ``args``.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class MalformedWav(SpeechAugError):
@@ -83,3 +93,7 @@ class MalformedText(SpeechAugError):
 
 class EmptyCorpus(SpeechAugError):
     """A sampling origin has positive weight but zero records."""
+
+
+class WorkerDied(SpeechAugError):
+    """A worker process ended before it returned the outcome of its item."""

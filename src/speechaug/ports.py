@@ -12,6 +12,11 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
+import os
+import pickle
+import selectors
+import signal
+import struct
 import subprocess
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +27,7 @@ from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
 import numpy as np
 
 from .audio import AudioBuffer, load_wav, resample
-from .errors import EmptyText, IoFailure, MockRejected, PortError, SpeechAugError
+from .errors import EmptyText, IoFailure, MockRejected, PortError, SpeechAugError, WorkerDied
 
 
 @runtime_checkable
@@ -174,16 +179,24 @@ LP = TypeVar("LP", bound="_LineProcess")
 
 
 def ordered_map(
-    fn: Callable[[T], R], items: Sequence[T], workers: int
+    fn: Callable[[T], R], items: Sequence[T], workers: int, *, processes: bool = False
 ) -> list[R | SpeechAugError]:
-    """``[fn(item) for item in items]``, on up to ``workers`` threads.
+    """``[fn(item) for item in items]``, on up to ``workers`` threads or,
+    with ``processes``, forked worker processes.
 
     This is the one place where a single item's failure is decided: a
     ``SpeechAugError`` raised by ``fn`` for one item takes that item's slot
     as the exception object, and the other items still run. Any other
     exception propagates. Results and failures come back in input order
-    whatever order the threads finish in. At one worker (or fewer) the
-    items run serially in the calling thread, with no pool and no futures.
+    whatever order the workers finish in. The worker count is capped at
+    the number of items and at ``os.cpu_count()``; at one worker (or fewer)
+    the items run serially in the calling thread, with no pool and no fork.
+
+    ``processes`` suits an ``fn`` that is a pure function of its item and
+    of state set up before the call, such as a chain and a noise bank:
+    each child is forked from the caller, so nothing ``fn`` changes in
+    memory comes back, only its result or its exception (both pickled).
+    A child that dies raises ``WorkerDied``.
     """
 
     def attempt(item: T) -> R | SpeechAugError:
@@ -192,10 +205,146 @@ def ordered_map(
         except SpeechAugError as err:
             return err
 
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [attempt(item) for item in items]
+    if processes:
+        return _forked_map(attempt, items, workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(attempt, items))
+
+
+# an item index from parent to child, or a message length from child to parent
+_WORD = struct.Struct("<Q")
+
+
+def _read_exact(fd: int, size: int) -> bytes | None:
+    """``size`` bytes from ``fd``, or None at end of file."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return bytes(data)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _serve(attempt: Callable[[T], object], items: Sequence[T], tasks: int, results: int) -> None:
+    """A worker's loop: read an index, answer with the pickled
+    ``(True, outcome)`` or ``(False, exception)``, until end of file."""
+    while (head := _read_exact(tasks, _WORD.size)) is not None:
+        (index,) = _WORD.unpack(head)
+        try:
+            message = pickle.dumps((True, attempt(items[index])), pickle.HIGHEST_PROTOCOL)
+        except Exception as err:
+            try:
+                message = pickle.dumps((False, err), pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                message = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
+        _write_all(results, _WORD.pack(len(message)) + message)
+
+
+@dataclass
+class _Worker:
+    pid: int
+    tasks: int  # write end of the index pipe, or -1 once closed
+    results: int  # read end of the outcome pipe
+    index: int | None = None  # the item it holds
+    reaped: bool = False
+
+
+def _forked_map(attempt: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
+    """``ordered_map``'s process mode: ``workers`` forked children, each
+    fed one item index at a time in input order over its own pipe. A child
+    answers on a second pipe and gets the next index, or end of file when
+    none is left. No child outlives the call: on any exception the rest are
+    killed, and every child is reaped.
+
+    Fork, not spawn: a spawned worker would import the package and rebuild
+    the caller's state (about 0.2 s each). Forking is safe only while the
+    caller runs no other Python thread; OpenBLAS, the one native pool in
+    the process, restarts its threads in the child by itself."""
+    outcomes: list = [None] * len(items)
+    pool: list[_Worker] = []
+    selector = selectors.DefaultSelector()
+    next_index = 0
+
+    def feed(worker: _Worker) -> None:
+        nonlocal next_index
+        if next_index < len(items):
+            worker.index = next_index
+            next_index += 1
+            os.write(worker.tasks, _WORD.pack(worker.index))
+        else:
+            worker.index = None
+            selector.unregister(worker.results)
+            os.close(worker.tasks)
+            worker.tasks = -1
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns from this branch
+                code = 1
+                try:
+                    # a child keeps only its own two pipe ends, not the
+                    # parent's ends of its siblings' pipes
+                    for fd in (task_w, result_r, *(w.tasks for w in pool), *(w.results for w in pool)):
+                        if fd >= 0:
+                            os.close(fd)
+                    _serve(attempt, items, task_r, result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            worker = _Worker(pid, task_w, result_r)
+            pool.append(worker)
+            selector.register(result_r, selectors.EVENT_READ, worker)
+            feed(worker)
+        remaining = len(items)
+        while remaining:
+            for key, _ in selector.select():
+                worker = key.data
+                head = _read_exact(worker.results, _WORD.size)
+                body = None if head is None else _read_exact(worker.results, *_WORD.unpack(head))
+                if body is None:
+                    _, status = os.waitpid(worker.pid, 0)
+                    worker.reaped = True
+                    code = os.waitstatus_to_exitcode(status)
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                    raise WorkerDied(
+                        f"worker process {worker.pid} {how} during item {worker.index + 1} of {len(items)}"
+                    )
+                ok, outcome = pickle.loads(body)
+                if not ok:
+                    raise outcome
+                outcomes[worker.index] = outcome
+                remaining -= 1
+                feed(worker)
+    except BaseException:
+        for worker in pool:
+            if not worker.reaped:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(worker.pid, signal.SIGKILL)
+        raise
+    finally:
+        selector.close()
+        for worker in pool:
+            for fd in (worker.tasks, worker.results):
+                if fd >= 0:
+                    os.close(fd)
+            if not worker.reaped:
+                os.waitpid(worker.pid, 0)
+    return outcomes
 
 
 class _LineProcess:

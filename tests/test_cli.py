@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import shlex
+import signal
 import sys
 import textwrap
 from pathlib import Path
@@ -19,10 +22,13 @@ from speechaug import (
     write_manifest,
     write_pairs_tsv,
 )
+from speechaug import cli
+from speechaug.chain import apply_chain
 from speechaug.cli import main
 
 from conftest import make_sine
 from test_manifest import record
+from test_ports import assert_reaped
 
 
 def write_input_wavs(directory: Path, count: int = 3) -> list[Path]:
@@ -214,6 +220,74 @@ class TestAugment:
             "--seed", "1", "--config", str(bad),
         ]) == 1
 
+    def test_worker_count_does_not_change_failures(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=5)
+        (in_dir / "utt1x.wav").write_bytes(b"this is not audio")
+        noise = write_noise_dir(tmp_path / "noise")
+        runs = []
+        for workers in (1, 2, 4):
+            out_dir = tmp_path / f"w{workers}"
+            code = main([
+                "augment", "--in", str(in_dir), "--out", str(out_dir), "--seed", "11",
+                "--noise-dir", str(noise), "--workers", str(workers),
+            ])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err.splitlines(), dir_bytes(out_dir)))
+        assert runs[0][:3] == (2, '{"processed": 5, "failed": 1}\n', [
+            f"ERROR speechaug: failed: utt1x.wav: {in_dir / 'utt1x.wav'}: missing RIFF/WAVE header",
+            "ERROR speechaug: 1 of 6 files failed",
+        ])
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_workers_beyond_the_cpu_count(self, tmp_path, capsys, monkeypatch):
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=3)
+        noise = write_noise_dir(tmp_path / "noise")
+        base = ["augment", "--in", str(in_dir), "--seed", "11", "--noise-dir", str(noise)]
+        assert main(base + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        forked = []
+        fork = os.fork
+
+        def counting_fork() -> int:
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert main(base + ["--out", str(tmp_path / "many"), "--workers", "1000"]) == 0
+        assert len(forked) == 2
+        assert dir_bytes(tmp_path / "w1") == dir_bytes(tmp_path / "many")
+
+    def test_killed_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # two workers even on a one-CPU box, where the kill would end pytest
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=4)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+
+        def dying_chain(config, buffer, utterance_id, bank):
+            (pids / str(os.getpid())).touch()
+            if utterance_id == "utt2":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return apply_chain(config, buffer, utterance_id, bank)
+
+        monkeypatch.setattr(cli, "apply_chain", dying_chain)
+        code = main([
+            "augment", "--in", str(in_dir), "--out", str(tmp_path / "out"), "--seed", "5",
+            "--config", str(write_identity_config(tmp_path / "chain.json")), "--workers", "2",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"error: worker process \d+ was killed by signal 9 during item 3 of 4", err[0])
+        assert_reaped(pids)
+
 
 def listing_missing(tmp_path: Path) -> Path:
     return tmp_path / "no-such-listing.tsv"
@@ -305,6 +379,23 @@ class TestEmptyNoiseBank:
         assert code == 1
         assert capsys.readouterr().err == f"error: no noise entries in {source}\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestWorkersOption:
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+    @pytest.mark.parametrize(
+        "command",
+        [["augment", "--in", "in"], ["build", "--pairs", "pairs.tsv", "--units-k", "5"]],
+        ids=["augment", "build"],
+    )
+    def test_must_be_a_positive_integer(self, tmp_path, capsys, command, value):
+        out_dir = tmp_path / "out"
+        code = main(command + ["--out", str(out_dir), "--seed", "1", "--workers", value])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: argument --workers: expected a positive integer, got {value!r}\n"
+        )
+        assert not out_dir.exists()
 
 
 CORPUS_LINES = [
@@ -464,6 +555,16 @@ class TestBuild:
         for rec in records:
             assert (out_dir / rec.source_audio).is_file()
             assert rec.origin == "text_aug"
+
+    def test_no_effects_loads_no_bank(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path / "pairs.tsv")
+        base = ["build", "--pairs", str(pairs), "--seed", "3", "--units-k", "50", "--no-effects"]
+        empty = tmp_path / "noise"
+        empty.mkdir()
+        assert main(base + ["--out", str(tmp_path / "out"), "--noise-dir", str(empty)]) == 0
+        assert main(base + ["--out", str(tmp_path / "ref")]) == 0
+        assert capsys.readouterr().err == ""
+        assert dir_bytes(tmp_path / "out" / "audio") == dir_bytes(tmp_path / "ref" / "audio")
 
     def test_rebuild_is_byte_identical(self, tmp_path, capsys):
         pairs = self.write_pairs(tmp_path / "pairs.tsv")

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +21,23 @@ from hypothesis import strategies as st
 import speechaug
 from speechaug import (
     AudioBuffer,
+    ChainStageError,
     EmptyText,
+    MalformedManifest,
+    MalformedText,
     MockRejected,
     MockSynthesizer,
     MockTranslator,
     MockUnitizer,
     PortError,
+    SpeechAugError,
     SubprocessSynthesizer,
     SubprocessTranslator,
     SynthesizerPort,
     TranslatorPort,
     UnitizerPort,
     UnitSequence,
+    WorkerDied,
     reduce_units,
 )
 
@@ -367,25 +377,152 @@ def test_one_port_serves_many_threads(tmp_path):
     assert done.stdout.split() == ["800"], done.stderr
 
 
+# (workers, processes): serial, a thread pool, forked worker processes
+MODES = [
+    pytest.param(1, False, id="serial"),
+    pytest.param(4, False, id="threads"),
+    pytest.param(4, True, id="processes"),
+]
+
+
+def logging_pids(directory: Path, fn):
+    """``fn``, which first leaves a file named after the pid it runs in."""
+
+    def logged(item):
+        (directory / str(os.getpid())).touch()
+        return fn(item)
+
+    return logged
+
+
+def assert_reaped(directory: Path) -> None:
+    """Every pid logged under ``directory`` is gone: no running child and
+    no zombie is left to this process."""
+    for path in directory.iterdir():
+        if int(path.name) != os.getpid():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(int(path.name), os.WNOHANG)
+
+
 class TestOrderedMap:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_typed_error_takes_its_own_slot(self, workers):
+    @pytest.fixture(autouse=True)
+    def four_cpus_and_a_deadline(self, monkeypatch):
+        # the worker cap is the same on every box, and a test that kills a
+        # worker never runs its items in the pytest process itself
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        def expire(signum, frame):
+            raise TimeoutError("ordered_map did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("workers, processes", MODES)
+    def test_typed_error_takes_its_own_slot(self, workers, processes):
         def fn(i: int) -> int:
             if i == 2:
                 raise MockRejected(f"item {i} refused")
             return i * i
 
-        outcomes = ordered_map(fn, range(6), workers)
+        outcomes = ordered_map(fn, range(6), workers, processes=processes)
         assert isinstance(outcomes[2], MockRejected)
         assert str(outcomes[2]) == "item 2 refused"
         assert [o for i, o in enumerate(outcomes) if i != 2] == [0, 1, 9, 16, 25]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_other_exceptions_propagate(self, workers):
+    @pytest.mark.parametrize("workers, processes", MODES)
+    def test_other_exceptions_propagate(self, workers, processes):
         def fn(i: int) -> int:
             if i == 3:
                 raise RuntimeError("a bug, not an item failure")
             return i
 
         with pytest.raises(RuntimeError, match="a bug"):
-            ordered_map(fn, range(6), workers)
+            ordered_map(fn, range(6), workers, processes=processes)
+
+    @pytest.mark.parametrize("workers, processes", MODES)
+    def test_input_order_whatever_the_finishing_order(self, workers, processes):
+        def fn(i: int) -> int:
+            time.sleep(0.002 * (8 - i))
+            return i
+
+        assert ordered_map(fn, range(8), workers, processes=processes) == list(range(8))
+
+    def test_processes_return_what_the_children_computed(self):
+        outcomes = ordered_map(lambda i: (i, os.getpid()), range(8), 2, processes=True)
+        assert [i for i, _ in outcomes] == list(range(8))
+        assert os.getpid() not in {pid for _, pid in outcomes}
+
+    @pytest.mark.parametrize("processes", [False, True], ids=["threads", "processes"])
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, processes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def fn(i: int) -> tuple[int, int]:
+            time.sleep(0.005)
+            return os.getpid(), threading.get_ident()
+
+        outcomes = ordered_map(fn, range(6), 1000, processes=processes)
+        assert len(set(outcomes)) <= 2
+
+    def test_more_indices_than_a_pipe_holds(self):
+        # 20,000 8-byte indices are more than a 64 KiB pipe buffer: a queue
+        # written before the results are read would deadlock here
+        assert ordered_map(lambda i: 2 * i, range(20_000), 2, processes=True) == [
+            2 * i for i in range(20_000)
+        ]
+
+    def test_killed_child_is_a_typed_error(self):
+        def fn(i: int) -> int:
+            if i == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with pytest.raises(WorkerDied, match=r"killed by signal 9 during item 4 of 6"):
+            ordered_map(fn, range(6), 2, processes=True)
+
+    @pytest.mark.parametrize("ending", ["return", "typed failure", "bug", "killed"])
+    def test_no_child_outlives_the_call(self, tmp_path, ending):
+        def fn(i: int) -> int:
+            if i == 3 and ending == "typed failure":
+                raise MockRejected("refused")
+            if i == 3 and ending == "bug":
+                raise RuntimeError("a bug")
+            if i == 3 and ending == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.002)
+            return i
+
+        with contextlib.suppress(RuntimeError, WorkerDied):
+            ordered_map(logging_pids(tmp_path, fn), range(8), 2, processes=True)
+        assert {int(p.name) for p in tmp_path.iterdir()} - {os.getpid()}
+        assert_reaped(tmp_path)
+
+
+def all_subclasses(cls: type) -> set[type]:
+    found = set()
+    for sub in cls.__subclasses__():
+        found |= {sub} | all_subclasses(sub)
+    return found
+
+
+# constructor arguments of the errors whose __init__ takes more than a message
+ERROR_ARGS = {
+    ChainStageError: (2, "pitch", ValueError("x")),
+    MalformedManifest: (3, "not a JSON object"),
+    MalformedText: ("corpus.txt", 4, "invalid start byte"),
+}
+PACKAGE_ERRORS = sorted(
+    {cls for cls in all_subclasses(SpeechAugError) if cls.__module__ == "speechaug.errors"},
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", [SpeechAugError, *PACKAGE_ERRORS], ids=lambda cls: cls.__name__)
+def test_errors_survive_pickling(cls):
+    err = cls(*ERROR_ARGS.get(cls, ("something failed",)))
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is cls
+    assert str(copy) == str(err)
+    assert vars(copy) == vars(err)
