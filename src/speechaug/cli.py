@@ -79,9 +79,9 @@ def _load_chain_config(args: argparse.Namespace) -> ChainConfig:
 
 
 def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank | None:
-    """The bank named by --noise-dir or --noise-manifest, or None; None when
-    no chain runs, and a chain that mixes noise must get one."""
-    if chain is None:
+    """The bank named by --noise-dir or --noise-manifest when the chain mixes
+    noise, which it must then get; None when no chain runs or it mixes none."""
+    if chain is None or not needs_bank(chain):
         return None
     bank = None
     try:
@@ -94,7 +94,7 @@ def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank
     if bank is not None and len(bank) == 0:
         source = args.noise_manifest if args.noise_dir is None else args.noise_dir
         raise CliError(f"no noise entries in {source}")
-    if bank is None and needs_bank(chain):
+    if bank is None:
         raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
     return bank
 
@@ -117,7 +117,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         return trace.to_json()
 
     # each item is a pure function of its path, the chain and the bank
-    outcomes = ordered_map(process, files, args.workers, processes=True)
+    outcomes = list(ordered_map(process, files, args.workers, processes=True))
     failures = [(p.name, o) for p, o in zip(files, outcomes) if isinstance(o, SpeechAugError)]
     _write_file(out_dir / "traces.jsonl", (t + "\n" for t in outcomes if isinstance(t, str)))
 

@@ -201,7 +201,7 @@ def build_manifest(
             tgt_lang=tgt_lang,
         )
 
-    outcomes = ordered_map(build_one, pairs, workers)
+    outcomes = list(ordered_map(build_one, pairs, workers))
     records = [o for o in outcomes if not isinstance(o, SpeechAugError)]
     failures = [(p.id, o) for p, o in zip(pairs, outcomes) if isinstance(o, SpeechAugError)]
     manifest_path = out_path / "manifest.jsonl"

@@ -14,15 +14,16 @@ import math
 import operator
 import os
 import pickle
-import selectors
 import signal
 import struct
 import subprocess
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Callable, Protocol, Sequence, TypeVar, runtime_checkable
+from itertools import chain, groupby, islice
+from typing import Any, BinaryIO, Protocol, TypeVar, runtime_checkable
 
 import numpy as np
 
@@ -178,25 +179,37 @@ R = TypeVar("R")
 LP = TypeVar("LP", bound="_LineProcess")
 
 
+# Items ``ordered_map`` pulls, per worker, ahead of the outcome it yields next.
+_AHEAD = 4
+
+
 def ordered_map(
-    fn: Callable[[T], R], items: Sequence[T], workers: int, *, processes: bool = False
-) -> list[R | SpeechAugError]:
-    """``[fn(item) for item in items]``, on up to ``workers`` threads or,
-    with ``processes``, forked worker processes.
+    fn: Callable[[T], R], items: Iterable[T], workers: int, *, processes: bool = False
+) -> Iterator[R | SpeechAugError]:
+    """``fn(item)`` for each of ``items``, yielded in input order, run on up
+    to ``workers`` threads or, with ``processes``, forked worker processes.
 
     This is the one place where a single item's failure is decided: a
-    ``SpeechAugError`` raised by ``fn`` for one item takes that item's slot
-    as the exception object, and the other items still run. Any other
-    exception propagates. Results and failures come back in input order
-    whatever order the workers finish in. The worker count is capped at
-    the number of items and at ``os.cpu_count()``; at one worker (or fewer)
-    the items run serially in the calling thread, with no pool and no fork.
+    ``SpeechAugError`` raised by ``fn`` for one item is yielded in that
+    item's place as the exception object, and the other items still run.
+    Any other exception propagates. Outcomes come out in input order
+    whatever order the workers finish in.
+
+    ``items`` may be any iterable. It is pulled only from the caller's
+    thread, and never more than ``_AHEAD`` items per worker ahead of the
+    outcome yielded next, so memory does not grow with the input. The
+    worker count is capped at the number of items and at
+    ``os.cpu_count()``; at one worker (or fewer) the items run serially in
+    the calling thread, with no pool and no fork. On an exception, or when
+    the generator is closed early, the items not started are dropped and
+    those running are waited for.
 
     ``processes`` suits an ``fn`` that is a pure function of its item and
     of state set up before the call, such as a chain and a noise bank:
     each child is forked from the caller, so nothing ``fn`` changes in
-    memory comes back, only its result or its exception (both pickled).
-    A child that dies raises ``WorkerDied``.
+    memory comes back, only its result or its exception. Items, results
+    and exceptions travel pickled. A child that dies raises
+    ``WorkerDied``, and no child outlives the generator.
     """
 
     def attempt(item: T) -> R | SpeechAugError:
@@ -205,146 +218,140 @@ def ordered_map(
         except SpeechAugError as err:
             return err
 
-    workers = min(workers, len(items), os.cpu_count() or 1)
+    items = iter(items)
+    first = list(islice(items, max(1, min(workers, os.cpu_count() or 1))))
+    workers = len(first)
     if workers <= 1:
-        return [attempt(item) for item in items]
-    if processes:
-        return _forked_map(attempt, items, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(attempt, items))
+        yield from map(attempt, chain(first, items))
+        return
 
+    # process mode: each pool thread adopts one child, sends it one item at
+    # a time and waits for the answer
+    children: list[tuple[int, BinaryIO, BinaryIO]] = []
+    unreaped: set[int] = set()
+    adopted = threading.local()
 
-# an item index from parent to child, or a message length from child to parent
-_WORD = struct.Struct("<Q")
+    def adopt() -> None:
+        adopted.child = unadopted.pop()
 
-
-def _read_exact(fd: int, size: int) -> bytes | None:
-    """``size`` bytes from ``fd``, or None at end of file."""
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return bytes(data)
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _serve(attempt: Callable[[T], object], items: Sequence[T], tasks: int, results: int) -> None:
-    """A worker's loop: read an index, answer with the pickled
-    ``(True, outcome)`` or ``(False, exception)``, until end of file."""
-    while (head := _read_exact(tasks, _WORD.size)) is not None:
-        (index,) = _WORD.unpack(head)
+    def ask(position: int, item: T) -> R | SpeechAugError:
+        pid, tasks, results = adopted.child
         try:
-            message = pickle.dumps((True, attempt(items[index])), pickle.HIGHEST_PROTOCOL)
-        except Exception as err:
+            _send(tasks, item)
+            ok, outcome = _receive(results)
+        except (BrokenPipeError, EOFError):
+            _, status = os.waitpid(pid, 0)
+            unreaped.discard(pid)
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise WorkerDied(f"worker process {pid} {how} during item {position}") from None
+        if not ok:
+            raise outcome
+        return outcome
+
+    pool = None
+    try:
+        # every fork comes before the pool's first thread: forking is safe
+        # only while the caller runs no other Python thread; OpenBLAS, the
+        # one native pool in the process, restarts its threads in the child
+        # by itself
+        for _ in range(workers if processes else 0):
+            children.append(_fork(attempt, children))
+            unreaped.add(children[-1][0])
+        unadopted = list(children)
+        pool = ThreadPoolExecutor(workers, initializer=adopt if processes else None)
+        run = ask if processes else lambda position, item: attempt(item)
+        pending: deque[Future] = deque()
+        for position, item in enumerate(chain(first, items), 1):
+            pending.append(pool.submit(run, position, item))
+            if len(pending) == _AHEAD * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        for pid in unreaped:
+            os.kill(pid, signal.SIGKILL)
+        for pid in unreaped:
+            os.waitpid(pid, 0)
+        for _, tasks, results in children:
+            results.close()
+            # what a child that died left unread is dropped
+            with contextlib.suppress(BrokenPipeError):
+                tasks.close()
+
+
+# the length of a pickled message, sent ahead of it
+_LENGTH = struct.Struct("<Q")
+
+
+def _send(pipe: BinaryIO, message: object) -> None:
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    pipe.write(_LENGTH.pack(len(data)))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _receive(pipe: BinaryIO) -> Any:
+    """The next message ``_send`` wrote to ``pipe``; EOFError at end of
+    file, also part way through a message."""
+    head = pipe.read(_LENGTH.size)
+    if len(head) == _LENGTH.size:
+        (size,) = _LENGTH.unpack(head)
+        body = pipe.read(size)
+        if len(body) == size:
+            return pickle.loads(body)
+    raise EOFError("the pipe closed")
+
+
+def _serve(attempt: Callable[[T], object], tasks: BinaryIO, results: BinaryIO) -> None:
+    """A worker's loop: answer each item with ``(True, outcome)`` or
+    ``(False, exception)``, until end of file."""
+    with contextlib.suppress(EOFError):
+        while True:
+            item = _receive(tasks)
             try:
-                message = pickle.dumps((False, err), pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                message = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
-        _write_all(results, _WORD.pack(len(message)) + message)
+                _send(results, (True, attempt(item)))
+            except Exception as err:
+                try:
+                    _send(results, (False, err))
+                except Exception:
+                    _send(results, (False, RuntimeError(f"{type(err).__name__}: {err}")))
 
 
-@dataclass
-class _Worker:
-    pid: int
-    tasks: int  # write end of the index pipe, or -1 once closed
-    results: int  # read end of the outcome pipe
-    index: int | None = None  # the item it holds
-    reaped: bool = False
-
-
-def _forked_map(attempt: Callable[[T], R], items: Sequence[T], workers: int) -> list[R]:
-    """``ordered_map``'s process mode: ``workers`` forked children, each
-    fed one item index at a time in input order over its own pipe. A child
-    answers on a second pipe and gets the next index, or end of file when
-    none is left. No child outlives the call: on any exception the rest are
-    killed, and every child is reaped.
+def _fork(
+    attempt: Callable[[T], object], siblings: list[tuple[int, BinaryIO, BinaryIO]]
+) -> tuple[int, BinaryIO, BinaryIO]:
+    """Fork one worker for ``ordered_map``; its pid and the parent's ends of
+    its two pipes, one for items and one for answers.
 
     Fork, not spawn: a spawned worker would import the package and rebuild
-    the caller's state (about 0.2 s each). Forking is safe only while the
-    caller runs no other Python thread; OpenBLAS, the one native pool in
-    the process, restarts its threads in the child by itself."""
-    outcomes: list = [None] * len(items)
-    pool: list[_Worker] = []
-    selector = selectors.DefaultSelector()
-    next_index = 0
+    the caller's state (about 0.2 s each)."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns from this branch
+        code = 1
+        try:
+            # a child keeps only its own two pipe ends, not the parent's
+            # ends of its siblings' pipes
+            for _, tasks, results in siblings:
+                os.close(tasks.fileno())
+                os.close(results.fileno())
+            os.close(task_w)
+            os.close(result_r)
+            _serve(attempt, open(task_r, "rb"), open(result_w, "wb"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(task_r)
+    os.close(result_w)
+    return pid, open(task_w, "wb"), open(result_r, "rb")
 
-    def feed(worker: _Worker) -> None:
-        nonlocal next_index
-        if next_index < len(items):
-            worker.index = next_index
-            next_index += 1
-            os.write(worker.tasks, _WORD.pack(worker.index))
-        else:
-            worker.index = None
-            selector.unregister(worker.results)
-            os.close(worker.tasks)
-            worker.tasks = -1
 
-    try:
-        for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child never returns from this branch
-                code = 1
-                try:
-                    # a child keeps only its own two pipe ends, not the
-                    # parent's ends of its siblings' pipes
-                    for fd in (task_w, result_r, *(w.tasks for w in pool), *(w.results for w in pool)):
-                        if fd >= 0:
-                            os.close(fd)
-                    _serve(attempt, items, task_r, result_w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(task_r)
-            os.close(result_w)
-            worker = _Worker(pid, task_w, result_r)
-            pool.append(worker)
-            selector.register(result_r, selectors.EVENT_READ, worker)
-            feed(worker)
-        remaining = len(items)
-        while remaining:
-            for key, _ in selector.select():
-                worker = key.data
-                head = _read_exact(worker.results, _WORD.size)
-                body = None if head is None else _read_exact(worker.results, *_WORD.unpack(head))
-                if body is None:
-                    _, status = os.waitpid(worker.pid, 0)
-                    worker.reaped = True
-                    code = os.waitstatus_to_exitcode(status)
-                    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                    raise WorkerDied(
-                        f"worker process {worker.pid} {how} during item {worker.index + 1} of {len(items)}"
-                    )
-                ok, outcome = pickle.loads(body)
-                if not ok:
-                    raise outcome
-                outcomes[worker.index] = outcome
-                remaining -= 1
-                feed(worker)
-    except BaseException:
-        for worker in pool:
-            if not worker.reaped:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(worker.pid, signal.SIGKILL)
-        raise
-    finally:
-        selector.close()
-        for worker in pool:
-            for fd in (worker.tasks, worker.results):
-                if fd >= 0:
-                    os.close(fd)
-            if not worker.reaped:
-                os.waitpid(worker.pid, 0)
-    return outcomes
+# Seconds an engine may take to exit once its input is closed.
+_EXIT_TIMEOUT_S = 10.0
 
 
 class _LineProcess:
@@ -387,7 +394,11 @@ class _LineProcess:
         return response.rstrip("\n")
 
     def close(self) -> None:
-        """Close both pipes and reap the child; end of input tells it to exit."""
+        """Close both pipes and reap the child; end of input tells it to exit.
+
+        A child still running ``_EXIT_TIMEOUT_S`` later is killed, and
+        raises ``PortError``.
+        """
         proc = self._proc
         assert proc.stdin is not None and proc.stdout is not None
         # a child that already exited can fail the final flush; the pipe is
@@ -395,7 +406,14 @@ class _LineProcess:
         with contextlib.suppress(BrokenPipeError):
             proc.stdin.close()
         try:
-            proc.wait(timeout=10)
+            proc.wait(timeout=_EXIT_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise PortError(
+                f"{self.command[0]} did not exit within {_EXIT_TIMEOUT_S:g} s"
+                " of the end of its input"
+            ) from None
         finally:
             proc.stdout.close()
 

@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby, islice
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -249,11 +249,6 @@ class RejectionStats:
         }
 
 
-# Sentences the text stage pulls, cleans and translates at a time: memory
-# holds one chunk of lines, translations and pairs, whatever the corpus size.
-_TEXT_CHUNK = 1024
-
-
 def iter_text_stage(
     sentences: Iterable[str],
     language: str,
@@ -271,45 +266,43 @@ def iter_text_stage(
     lines were rejected. Where every sentence ended up is counted into
     ``stats`` as the sentences are pulled.
 
-    ``sentences`` is pulled one chunk at a time, and each chunk is
-    translated on up to ``max_in_flight`` threads before any of its pairs
-    is yielded; pairs come out in line order, so concurrency never changes
-    the output. A sentence whose translation raises ``SpeechAugError``
-    counts as a translator failure.
+    ``sentences`` streams through: survivors are translated on up to
+    ``max_in_flight`` threads, only a few per thread ahead of the pair
+    yielded next (``ordered_map``), and pairs come out in line order, so
+    concurrency never changes the output. A sentence whose translation
+    raises ``SpeechAugError`` counts as a translator failure.
     """
     policy = policy or FilterPolicy()
-    lines = enumerate(sentences)
-    while chunk := list(islice(lines, _TEXT_CHUNK)):
-        stats.input_sentences += len(chunk)
-        survivors: list[tuple[int, str]] = []
-        for idx, raw in chunk:
+
+    def survivors() -> Iterator[tuple[int, str]]:
+        for idx, raw in enumerate(sentences):
+            stats.input_sentences += 1
             result = clean_sentence(raw, policy)
-            if not result.accepted:
+            if result.accepted:
+                yield idx, result.text
+            else:
                 stats.clean_rejected[result.reason] += 1
-                continue
-            survivors.append((idx, result.text))
 
-        outcomes = ordered_map(
-            lambda text: translator.translate(text, language, to_language),
-            [text for _, text in survivors],
-            max_in_flight,
-        )
+    def translate(survivor: tuple[int, str]) -> tuple[int, str, str]:
+        idx, text = survivor
+        return idx, text, translator.translate(text, language, to_language)
 
-        for (idx, target_text), outcome in zip(survivors, outcomes):
-            if isinstance(outcome, SpeechAugError):
-                stats.translator_failures += 1
-                continue
-            source_text = " ".join(outcome.split())
-            if not source_text:
-                stats.pair_rejected[RejectReason.EMPTY] += 1
-                continue
-            pair = TextPair(id=f"p{idx:08d}", source=source_text, target=target_text)
-            reason = filter_pair(pair, policy)
-            if reason is not None:
-                stats.pair_rejected[reason] += 1
-                continue
-            stats.accepted += 1
-            yield pair
+    for outcome in ordered_map(translate, survivors(), max_in_flight):
+        if isinstance(outcome, SpeechAugError):
+            stats.translator_failures += 1
+            continue
+        idx, target_text, translation = outcome
+        source_text = " ".join(translation.split())
+        if not source_text:
+            stats.pair_rejected[RejectReason.EMPTY] += 1
+            continue
+        pair = TextPair(id=f"p{idx:08d}", source=source_text, target=target_text)
+        reason = filter_pair(pair, policy)
+        if reason is not None:
+            stats.pair_rejected[reason] += 1
+            continue
+        stats.accepted += 1
+        yield pair
 
 
 def run_text_stage(

@@ -22,7 +22,7 @@ from speechaug import (
     write_manifest,
     write_pairs_tsv,
 )
-from speechaug import cli
+from speechaug import cli, ports
 from speechaug.chain import apply_chain
 from speechaug.cli import main
 
@@ -68,6 +68,14 @@ def write_noise_dir(directory: Path, count: int = 3) -> Path:
 
 def dir_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+def tree_bytes(directory: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
 
 
 class TestAugment:
@@ -285,7 +293,7 @@ class TestAugment:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert re.fullmatch(r"error: worker process \d+ was killed by signal 9 during item 3 of 4", err[0])
+        assert re.fullmatch(r"error: worker process \d+ was killed by signal 9 during item 3", err[0])
         assert_reaped(pids)
 
 
@@ -379,6 +387,25 @@ class TestEmptyNoiseBank:
         assert code == 1
         assert capsys.readouterr().err == f"error: no noise entries in {source}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "build"])
+    def test_is_not_loaded_for_a_chain_that_mixes_no_noise(self, tmp_path, capsys, command):
+        config = write_identity_config(tmp_path / "chain.json")
+        speed_only = json.loads(config.read_text())
+        speed_only["specs"] = [dict(speed_only["specs"][0], probability=1.0)]
+        config.write_text(json.dumps(speed_only))
+        if command == "augment":
+            write_input_wavs(tmp_path / "in", count=2)
+            args = ["augment", "--in", str(tmp_path / "in")]
+        else:
+            write_pairs_tsv([TextPair(id="p1", source="a b", target="c d")], tmp_path / "pairs.tsv")
+            args = ["build", "--pairs", str(tmp_path / "pairs.tsv"), "--units-k", "50"]
+        args += ["--seed", "1", "--config", str(config)]
+        noise = ["--noise-dir", str(empty_noise_dir(tmp_path))]
+        assert main(args + ["--out", str(tmp_path / "out")] + noise) == 0
+        assert main(args + ["--out", str(tmp_path / "ref")]) == 0
+        assert capsys.readouterr().err == ""
+        assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "ref")
 
 
 class TestWorkersOption:
@@ -509,6 +536,25 @@ class TestTextaug:
         assert err.startswith(f"error: cannot start {missing}: ")
         assert not (tmp_path / "out").exists()
 
+    def test_engine_that_outlives_its_input_is_killed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ports, "_EXIT_TIMEOUT_S", 0.5)
+        engine = tmp_path / "engine.py"
+        engine.write_text(textwrap.dedent(LINGERING_ENGINE))
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(tmp_path / "out"),
+            "--language", "de", "--to", "en",
+            "--translator", "subprocess:" + shlex.join([sys.executable, str(engine), str(pids)]),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {sys.executable} did not exit within 0.5 s of the end of its input\n"
+        )
+        assert len(list(pids.iterdir())) == 1
+        assert_reaped(pids)
+
     def test_bad_policy_value(self, tmp_path):
         corpus = self.write_corpus(tmp_path / "corpus.txt")
         assert main([
@@ -517,7 +563,7 @@ class TestTextaug:
         ]) == 1
 
     def test_non_utf8_corpus_is_one_error_line_and_no_pairs(self, tmp_path, capsys):
-        # the bad line comes after more than one chunk of pairs was written
+        # the bad line comes after many pairs were written
         lines = [f"sentence number {i}".encode() for i in range(1500)] + [b"bad \xff byte"]
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"\n".join(lines) + b"\n")
@@ -689,6 +735,17 @@ class TestBuild:
         mentions = [line for line in captured.err.splitlines() if "p00000001" in line]
         assert len(mentions) == 1
         assert mentions[0].startswith("ERROR speechaug: failed: p00000001: ")
+
+
+# echoes each sentence, then keeps running after the end of its input
+LINGERING_ENGINE = """
+    import os, sys, time
+
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    for line in sys.stdin:
+        print(line.rstrip("\\n").split("\\t")[2], flush=True)
+    time.sleep(60)
+"""
 
 
 # answers every sentence holding "1" with a path it never writes

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import os
 import pickle
 import signal
@@ -11,6 +13,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ from speechaug import (
     reduce_units,
 )
 
+from speechaug import ports
 from speechaug.ports import ordered_map
 
 from conftest import fft_peak_hz
@@ -427,7 +431,7 @@ class TestOrderedMap:
                 raise MockRejected(f"item {i} refused")
             return i * i
 
-        outcomes = ordered_map(fn, range(6), workers, processes=processes)
+        outcomes = list(ordered_map(fn, range(6), workers, processes=processes))
         assert isinstance(outcomes[2], MockRejected)
         assert str(outcomes[2]) == "item 2 refused"
         assert [o for i, o in enumerate(outcomes) if i != 2] == [0, 1, 9, 16, 25]
@@ -440,7 +444,7 @@ class TestOrderedMap:
             return i
 
         with pytest.raises(RuntimeError, match="a bug"):
-            ordered_map(fn, range(6), workers, processes=processes)
+            list(ordered_map(fn, range(6), workers, processes=processes))
 
     @pytest.mark.parametrize("workers, processes", MODES)
     def test_input_order_whatever_the_finishing_order(self, workers, processes):
@@ -448,10 +452,10 @@ class TestOrderedMap:
             time.sleep(0.002 * (8 - i))
             return i
 
-        assert ordered_map(fn, range(8), workers, processes=processes) == list(range(8))
+        assert list(ordered_map(fn, range(8), workers, processes=processes)) == list(range(8))
 
     def test_processes_return_what_the_children_computed(self):
-        outcomes = ordered_map(lambda i: (i, os.getpid()), range(8), 2, processes=True)
+        outcomes = list(ordered_map(lambda i: (i, os.getpid()), range(8), 2, processes=True))
         assert [i for i, _ in outcomes] == list(range(8))
         assert os.getpid() not in {pid for _, pid in outcomes}
 
@@ -463,13 +467,13 @@ class TestOrderedMap:
             time.sleep(0.005)
             return os.getpid(), threading.get_ident()
 
-        outcomes = ordered_map(fn, range(6), 1000, processes=processes)
+        outcomes = list(ordered_map(fn, range(6), 1000, processes=processes))
         assert len(set(outcomes)) <= 2
 
     def test_more_indices_than_a_pipe_holds(self):
-        # 20,000 8-byte indices are more than a 64 KiB pipe buffer: a queue
-        # written before the results are read would deadlock here
-        assert ordered_map(lambda i: 2 * i, range(20_000), 2, processes=True) == [
+        # 20,000 pickled items are more than a 64 KiB pipe buffer holds: a
+        # queue written before the answers are read would deadlock here
+        assert list(ordered_map(lambda i: 2 * i, range(20_000), 2, processes=True)) == [
             2 * i for i in range(20_000)
         ]
 
@@ -479,8 +483,8 @@ class TestOrderedMap:
                 os.kill(os.getpid(), signal.SIGKILL)
             return i
 
-        with pytest.raises(WorkerDied, match=r"killed by signal 9 during item 4 of 6"):
-            ordered_map(fn, range(6), 2, processes=True)
+        with pytest.raises(WorkerDied, match=r"killed by signal 9 during item 4"):
+            list(ordered_map(fn, range(6), 2, processes=True))
 
     @pytest.mark.parametrize("ending", ["return", "typed failure", "bug", "killed"])
     def test_no_child_outlives_the_call(self, tmp_path, ending):
@@ -495,9 +499,50 @@ class TestOrderedMap:
             return i
 
         with contextlib.suppress(RuntimeError, WorkerDied):
-            ordered_map(logging_pids(tmp_path, fn), range(8), 2, processes=True)
+            list(ordered_map(logging_pids(tmp_path, fn), range(8), 2, processes=True))
         assert {int(p.name) for p in tmp_path.iterdir()} - {os.getpid()}
         assert_reaped(tmp_path)
+
+    @pytest.mark.parametrize("workers, processes", MODES)
+    def test_pulls_from_the_caller_a_window_ahead(self, workers, processes):
+        pulled_by = []
+
+        def numbers():
+            for i in range(500):
+                pulled_by.append(threading.get_ident())
+                yield i
+
+        outcomes = ordered_map(lambda i: i, numbers(), workers, processes=processes)
+        for position, outcome in enumerate(outcomes, 1):
+            assert outcome == position - 1
+            assert len(pulled_by) < position + ports._AHEAD * workers
+        assert len(pulled_by) == 500
+        assert set(pulled_by) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers, processes", MODES)
+    def test_close_after_the_first_outcome_leaves_no_worker(self, tmp_path, workers, processes):
+        threads = threading.active_count()
+        outcomes = ordered_map(
+            logging_pids(tmp_path, lambda i: i), itertools.count(), workers, processes=processes
+        )
+        assert next(outcomes) == 0
+        outcomes.close()
+        assert threading.active_count() == threads
+        if processes:
+            assert {int(p.name) for p in tmp_path.iterdir()} - {os.getpid()}
+        assert_reaped(tmp_path)
+
+    def test_thread_mode_memory_stays_flat_as_the_input_grows(self):
+        def peak(count: int) -> int:
+            tracemalloc.start()
+            try:
+                collections.deque(ordered_map(lambda i: i, range(count), 2), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(10_000)
+        assert peak(100_000) < 2 * small
 
 
 def all_subclasses(cls: type) -> set[type]:

@@ -28,7 +28,7 @@ from speechaug import (
     run_text_stage,
     write_pairs_tsv,
 )
-from speechaug import textpipe
+from speechaug import ports, textpipe
 
 GOLDEN = Path(__file__).parent / "data" / "clean_golden.tsv"
 
@@ -221,28 +221,32 @@ def collect(sentences, translator=None, **kwargs):
 
 
 class TestIterTextStage:
-    def test_yields_before_pulling_a_second_chunk(self):
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_yields_after_pulling_one_window(self, max_in_flight):
         pulled = 0
 
         def lines():
             nonlocal pulled
-            for i in range(3 * textpipe._TEXT_CHUNK):
+            for i in range(3000):
                 pulled += 1
                 yield f"sentence number {i}"
 
-        stage = iter_text_stage(lines(), "tgt", MockTranslator(), "src", RejectionStats())
+        stage = iter_text_stage(
+            lines(), "tgt", MockTranslator(), "src", RejectionStats(), max_in_flight=max_in_flight
+        )
         first = next(stage)
+        stage.close()
         assert first.id == "p00000000"
-        assert pulled <= textpipe._TEXT_CHUNK
+        assert pulled <= ports._AHEAD * max_in_flight + 1
 
-    def test_chunks_do_not_change_the_result(self, monkeypatch):
+    def test_the_window_does_not_change_the_result(self, monkeypatch):
         sentences = ["keep this", "drop [me]", "", "boom here", "and this one", "x y"] * 7
         whole, whole_stats = collect(sentences, FlakyTranslator())
-        monkeypatch.setattr(textpipe, "_TEXT_CHUNK", 4)
-        chunked, chunked_stats = collect(iter(sentences), FlakyTranslator(), max_in_flight=3)
-        assert chunked == whole
-        assert chunked_stats.to_dict() == whole_stats.to_dict()
-        assert chunked_stats.is_conserved()
+        monkeypatch.setattr(ports, "_AHEAD", 1)
+        windowed, windowed_stats = collect(iter(sentences), FlakyTranslator(), max_in_flight=3)
+        assert windowed == whole
+        assert windowed_stats.to_dict() == whole_stats.to_dict()
+        assert windowed_stats.is_conserved()
 
 
 # every break str.splitlines() knows, a lone "\r", "\r\n" and blank lines
