@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
+from ._numpy import np
 from .errors import EmptyAudio, IoFailure, MalformedWav, UnsupportedEncoding
 
 PCM16_SCALE = 32768.0

@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .audio import AudioBuffer, _write_file
 from .effects import NoiseBank, apply_lowpass, apply_pitch, apply_speed, mix_picks
 from .errors import ChainStageError, EmptyNoiseBank, SpeechAugError

@@ -17,9 +17,9 @@ import shlex
 import sys
 from itertools import islice
 from pathlib import Path
+from typing import Callable, Iterator
 
-import numpy as np
-
+from ._numpy import np
 from .audio import _write_file, load_wav, save_wav
 from .chain import ChainConfig, apply_chain, default_chain, load_chain, needs_bank
 from .effects import NoiseBank
@@ -42,6 +42,7 @@ from .ports import (
 from .textpipe import (
     FilterPolicy,
     RejectionStats,
+    TextPair,
     iter_lines,
     iter_text_stage,
     read_pairs_tsv,
@@ -178,16 +179,22 @@ def cmd_textaug(args: argparse.Namespace) -> int:
             raise CliError("--take-n needs --seed")
         rng = np.random.Generator(np.random.PCG64(args.seed))
         sentences = reservoir_take(sentences, args.take_n, rng)
-    translator = _make_translator(args.translator)
     policy = _policy_from_args(args)
+    translator = _make_translator(args.translator)
+    close = getattr(translator, "close", lambda: None)
     stats = RejectionStats()
+
+    def pairs() -> Iterator[TextPair]:
+        yield from iter_text_stage(sentences, args.language, translator, args.to, stats, policy)
+        # before pairs.tsv is renamed into place: an engine that fails to
+        # exit leaves neither pairs.tsv nor stats.json
+        close()
+
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        pairs = iter_text_stage(sentences, args.language, translator, args.to, stats, policy)
-        write_pairs_tsv(pairs, out_dir / "pairs.tsv")
+        write_pairs_tsv(pairs(), out_dir / "pairs.tsv")
     finally:
-        if hasattr(translator, "close"):
-            translator.close()
+        close()  # also after a failure; a second close does nothing
     _write_file(out_dir / "stats.json", [json.dumps(stats.to_dict(), indent=2) + "\n"])
     print(json.dumps(stats.to_dict()))
     if stats.translator_failures:
@@ -283,14 +290,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_type(low: int, what: str) -> Callable[[str], int]:
+    """An argparse type for an integer of at least ``low``, called ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_type(1, "a positive integer")
+_count = _int_type(0, "a non-negative integer")
+_vocabulary_size = _int_type(2, "an integer of at least 2")
 
 
 def _add_noise_options(p: argparse.ArgumentParser) -> None:
@@ -319,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--language", required=True, help="language of the input corpus")
     p.add_argument("--to", required=True, help="language to translate into")
     p.add_argument("--translator", default="mock", help="mock, mock-notag or subprocess:CMD")
-    p.add_argument("--take-n", type=int, default=None, help="reservoir-sample N input lines")
+    p.add_argument("--take-n", type=_positive_int, default=None, help="reservoir-sample N input lines")
     p.add_argument("--seed", type=int, default=None, help="seed (required with --take-n)")
     p.add_argument("--max-length-ratio", type=float, default=3.0)
     p.add_argument("--max-repetition-run", type=int, default=3)
@@ -332,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="pairs TSV from textaug")
     p.add_argument("--out", dest="out_path", required=True, help="output directory")
     p.add_argument("--seed", type=int, required=True, help="global seed")
-    p.add_argument("--units-k", type=int, required=True, help="unit vocabulary size")
-    p.add_argument("--sample-rate", type=int, default=16000)
+    p.add_argument("--units-k", type=_vocabulary_size, required=True, help="unit vocabulary size")
+    p.add_argument("--sample-rate", type=_positive_int, default=16000)
     p.add_argument("--config", help="chain config JSON (default: the standard chain)")
     p.add_argument("--no-effects", action="store_true", help="skip acoustic perturbation")
     _add_noise_options(p)
@@ -355,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="manifest for one origin; repeatable",
     )
     p.add_argument("--weights", required=True, help="e.g. real=0.5,text_aug=0.5")
-    p.add_argument("-n", "--count", type=int, required=True, help="how many ids to emit")
+    p.add_argument("-n", "--count", type=_count, required=True, help="how many ids to emit")
     p.add_argument("--seed", type=int, required=True, help="sampling seed")
     p.set_defaults(func=cmd_sample)
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .audio import AudioBuffer, _resample_ratio, load_wav, resample
 from .errors import (
     CutoffAboveNyquist,

@@ -11,14 +11,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence, TypeVar
 
-import numpy as np
-
+from ._numpy import np
 from .audio import _write_file, save_wav
 from .chain import ChainConfig, apply_chain
 from .effects import NoiseBank
@@ -31,6 +31,9 @@ MANIFEST_SCHEMA = "speechaug-manifest-v1"
 ORIGINS = ("real", "text_aug")
 
 _RECORD_KEYS = ("id", "source_audio", "duration_s", "target_units", "origin", "src_lang", "tgt_lang")
+_record_fields = operator.itemgetter(*_RECORD_KEYS)
+# the exact types json.loads gives the fields of a line the writer wrote
+_FIELD_TYPES = (str, str, float, str, str, str, str)
 
 
 @dataclass(frozen=True)
@@ -70,28 +73,34 @@ class ManifestRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ManifestRecord":
-        if not isinstance(data, Mapping):
-            raise ValueError(f"record must be a JSON object, not {type(data).__name__}")
-        missing = [k for k in _RECORD_KEYS if k not in data]
-        if missing:
-            raise ValueError(f"missing fields: {', '.join(missing)}")
-        duration_s = data["duration_s"]
-        # bool is an int subclass; the writer only ever writes numbers
-        if isinstance(duration_s, bool) or not isinstance(duration_s, (int, float)):
-            raise ValueError(f"duration_s must be a number, not {type(duration_s).__name__}")
-        for key in _RECORD_KEYS:
-            if key != "duration_s" and not isinstance(data[key], str):
-                raise ValueError(f"{key} must be a string, not {type(data[key]).__name__}")
+        try:
+            fields = _record_fields(data) if type(data) is dict else None
+        except KeyError:
+            fields = None
+        # json.loads builds exact dicts, strs and floats, so a line the
+        # writer wrote passes on its field types alone; anything else is
+        # checked field by field, and refused with the reason
+        if fields is None or tuple(map(type, fields)) != _FIELD_TYPES:
+            if not isinstance(data, Mapping):
+                raise ValueError(f"record must be a JSON object, not {type(data).__name__}")
+            missing = [k for k in _RECORD_KEYS if k not in data]
+            if missing:
+                raise ValueError(f"missing fields: {', '.join(missing)}")
+            duration_s = data["duration_s"]
+            # bool is an int subclass; the writer only ever writes numbers
+            if isinstance(duration_s, bool) or not isinstance(duration_s, (int, float)):
+                raise ValueError(f"duration_s must be a number, not {type(duration_s).__name__}")
+            for key in _RECORD_KEYS:
+                if key != "duration_s" and not isinstance(data[key], str):
+                    raise ValueError(f"{key} must be a string, not {type(data[key]).__name__}")
+            fields = _record_fields(data)
+        id_, source_audio, duration_s, units, origin, src_lang, tgt_lang = fields
         # a manifest repeats a handful of origins and languages on every
-        # line; interned, each record shares one string per value
+        # line; interned, each record shares one string per value. The
+        # fields come in the class's order; UnitSequence makes each unit an int
         return cls(
-            id=data["id"],
-            source_audio=data["source_audio"],
-            duration_s=float(duration_s),
-            target_units=UnitSequence(tuple(map(int, data["target_units"].split())), reduced=True),
-            origin=sys.intern(data["origin"]),
-            src_lang=sys.intern(data["src_lang"]),
-            tgt_lang=sys.intern(data["tgt_lang"]),
+            id_, source_audio, float(duration_s), UnitSequence(units.split(), reduced=True),
+            sys.intern(origin), sys.intern(src_lang), sys.intern(tgt_lang),
         )
 
 

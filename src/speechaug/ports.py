@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from typing import Any, BinaryIO, Protocol, TypeVar, runtime_checkable
 
-import numpy as np
-
+from ._numpy import np
 from .audio import AudioBuffer, load_wav, resample
 from .errors import EmptyText, IoFailure, MockRejected, PortError, SpeechAugError, WorkerDied
 
@@ -254,7 +253,10 @@ def ordered_map(
         # every fork comes before the pool's first thread: forking is safe
         # only while the caller runs no other Python thread; OpenBLAS, the
         # one native pool in the process, restarts its threads in the child
-        # by itself
+        # by itself; numpy is loaded first, so that the children inherit it
+        # instead of each importing it again
+        if processes:
+            np.ndarray
         for _ in range(workers if processes else 0):
             children.append(_fork(attempt, children))
             unreaped.add(children[-1][0])

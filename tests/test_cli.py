@@ -555,6 +555,52 @@ class TestTextaug:
         assert len(list(pids.iterdir())) == 1
         assert_reaped(pids)
 
+    def test_engine_that_fails_to_exit_leaves_no_new_file(self, tmp_path, capsys, monkeypatch):
+        # the translator is closed before pairs.tsv is renamed into place
+        monkeypatch.setattr(ports, "_EXIT_TIMEOUT_S", 0.5)
+        engine = tmp_path / "engine.py"
+        engine.write_text(textwrap.dedent(LINGERING_ENGINE))
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        out_dir = tmp_path / "out"
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(out_dir),
+            "--language", "de", "--to", "en",
+            "--translator", "subprocess:" + shlex.join([sys.executable, str(engine), str(pids)]),
+        ])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert list(out_dir.iterdir()) == []
+        assert_reaped(pids)
+
+    def test_bad_policy_value_starts_no_engine(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "SubprocessTranslator", started.append)
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(tmp_path / "out"),
+            "--language", "de", "--to", "en", "--max-length-ratio", "0.2",
+            "--translator", "subprocess:engine",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert started == []
+
+    @pytest.mark.parametrize("value", ["0", "-3", "many"])
+    def test_take_n_must_be_a_positive_integer(self, tmp_path, capsys, value):
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        out_dir = tmp_path / "out"
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(out_dir),
+            "--language", "en", "--to", "xx", "--take-n", value, "--seed", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: argument --take-n: expected a positive integer, got {value!r}\n"
+        )
+        assert not out_dir.exists()
+
     def test_bad_policy_value(self, tmp_path):
         corpus = self.write_corpus(tmp_path / "corpus.txt")
         assert main([
@@ -646,6 +692,36 @@ class TestBuild:
             "build", "--pairs", str(pairs), "--out", str(tmp_path / "out"),
             "--seed", "3", "--no-effects",
         ]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, expected",
+        [
+            ("--units-k", "1", "an integer of at least 2"),
+            ("--units-k", "0", "an integer of at least 2"),
+            ("--units-k", "2.5", "an integer of at least 2"),
+            ("--sample-rate", "0", "a positive integer"),
+            ("--sample-rate", "-16000", "a positive integer"),
+        ],
+    )
+    def test_value_a_constructor_refuses_is_a_usage_error(
+        self, tmp_path, capsys, flag, value, expected
+    ):
+        pairs = self.write_pairs(tmp_path / "pairs.tsv")
+        out_dir = tmp_path / "out"
+        args = ["build", "--pairs", str(pairs), "--out", str(out_dir), "--seed", "3"]
+        extra = {"--units-k": [], "--sample-rate": ["--units-k", "50"]}[flag]
+        assert main(args + extra + [flag, value]) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: expected {expected}, got {value!r}\n"
+        assert not out_dir.exists()
+
+    def test_smallest_values_are_accepted(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path / "pairs.tsv", count=1)
+        assert main([
+            "build", "--pairs", str(pairs), "--out", str(tmp_path / "out"), "--seed", "3",
+            "--units-k", "2", "--sample-rate", "8000", "--no-effects",
+        ]) == 0
+        (record,) = read_manifest(Path(capsys.readouterr().out.strip()))
+        assert set(record.target_units.units) <= {0, 1}
 
     def test_noisy_chain_without_bank(self, tmp_path):
         pairs = self.write_pairs(tmp_path / "pairs.tsv")
@@ -824,6 +900,27 @@ class TestSample:
         assert code == 0
         ids = capsys.readouterr().out.split()
         assert len(ids) == 40
+
+    @pytest.mark.parametrize("value", ["-3", "-1", "ten"])
+    def test_count_must_not_be_negative(self, tmp_path, capsys, value):
+        real, aug = self.write_manifests(tmp_path)
+        code = main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--weights", "real=0.5,text_aug=0.5", "-n", value, "--seed", "2",
+        ])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: argument -n/--count: expected a non-negative integer, got {value!r}\n"
+        )
+
+    def test_zero_count_emits_nothing(self, tmp_path, capsys):
+        real, aug = self.write_manifests(tmp_path)
+        code = main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--weights", "real=0.5,text_aug=0.5", "-n", "0", "--seed", "2",
+        ])
+        assert code == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_deterministic(self, tmp_path, capsys):
         real, aug = self.write_manifests(tmp_path)

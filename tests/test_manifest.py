@@ -9,7 +9,9 @@ import math
 import sys
 import textwrap
 import time
+from collections import OrderedDict
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -111,6 +113,27 @@ class TestManifestRecord:
         data = json.loads(record().to_json())
         data["target_units"] = [1, 2, 3]
         with pytest.raises(ValueError):
+            ManifestRecord.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [MappingProxyType, lambda data: OrderedDict(data), lambda data: {**data, "duration_s": 2}],
+        ids=["mapping", "dict-subclass", "int-duration"],
+    )
+    def test_from_dict_takes_what_json_does_not_build(self, wrap):
+        data = json.loads(record(duration_s=2.0, units=(7, 3, 7)).to_json())
+        parsed = ManifestRecord.from_dict(wrap(data))
+        assert parsed == ManifestRecord.from_dict(data) == record(duration_s=2.0, units=(7, 3, 7))
+        assert type(parsed.duration_s) is float
+        assert parsed.target_units.units == (7, 3, 7)
+
+    @pytest.mark.parametrize(
+        "units, message",
+        [("1 1 2", "equal neighbours"), ("3 -1", "non-negative"), ("1 x", "invalid literal")],
+    )
+    def test_from_dict_checks_the_units(self, units, message):
+        data = {**json.loads(record().to_json()), "target_units": units}
+        with pytest.raises(ValueError, match=message):
             ManifestRecord.from_dict(data)
 
 
