@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
 
-from ._numpy import np
+from ._pcg64 import PCG64
 from .audio import _write_file, load_wav, save_wav
 from .chain import ChainConfig, apply_chain, default_chain, load_chain, needs_bank
 from .effects import NoiseBank
@@ -177,8 +177,7 @@ def cmd_textaug(args: argparse.Namespace) -> int:
     if args.take_n is not None:
         if args.seed is None:
             raise CliError("--take-n needs --seed")
-        rng = np.random.Generator(np.random.PCG64(args.seed))
-        sentences = reservoir_take(sentences, args.take_n, rng)
+        sentences = reservoir_take(sentences, args.take_n, PCG64(args.seed))
     policy = _policy_from_args(args)
     translator = _make_translator(args.translator)
     close = getattr(translator, "close", lambda: None)
@@ -306,7 +305,7 @@ def _int_type(low: int, what: str) -> Callable[[str], int]:
 
 
 _positive_int = _int_type(1, "a positive integer")
-_count = _int_type(0, "a non-negative integer")
+_non_negative_int = _int_type(0, "a non-negative integer")
 _vocabulary_size = _int_type(2, "an integer of at least 2")
 
 
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, help="language to translate into")
     p.add_argument("--translator", default="mock", help="mock, mock-notag or subprocess:CMD")
     p.add_argument("--take-n", type=_positive_int, default=None, help="reservoir-sample N input lines")
-    p.add_argument("--seed", type=int, default=None, help="seed (required with --take-n)")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="seed (required with --take-n)")
     p.add_argument("--max-length-ratio", type=float, default=3.0)
     p.add_argument("--max-repetition-run", type=int, default=3)
     p.add_argument("--min-tokens", type=int, default=1)
@@ -372,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="manifest for one origin; repeatable",
     )
     p.add_argument("--weights", required=True, help="e.g. real=0.5,text_aug=0.5")
-    p.add_argument("-n", "--count", type=_count, required=True, help="how many ids to emit")
-    p.add_argument("--seed", type=int, required=True, help="sampling seed")
+    p.add_argument("-n", "--count", type=_non_negative_int, required=True, help="how many ids to emit")
+    p.add_argument("--seed", type=_non_negative_int, required=True, help="sampling seed")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("stats", help="summarize a manifest")

@@ -8,6 +8,7 @@ WAV file on disk and carries the reduced target units, the data origin
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence, TypeVar
 
-from ._numpy import np
+from ._pcg64 import PCG64
 from .audio import _write_file, save_wav
 from .chain import ChainConfig, apply_chain
 from .effects import NoiseBank
@@ -218,6 +219,21 @@ def build_manifest(
     return BuildOutcome(manifest_path=manifest_path, records=records, failures=failures)
 
 
+def _float64_sum(values: Sequence[float]) -> float:
+    """``np.sum`` of a float64 array, as numpy adds it: pairwise, with a
+    sequential sum below 8 values and 8 interleaved ones up to 128."""
+    n = len(values)
+    if n < 8:
+        return functools.reduce(operator.add, values, -0.0)
+    if n <= 128:
+        k = n - n % 8
+        r = [functools.reduce(operator.add, values[j:k:8]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return functools.reduce(operator.add, values[k:], head)
+    half = n // 2 - n // 2 % 8
+    return _float64_sum(values[:half]) + _float64_sum(values[half:])
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Origin weights plus the seed that makes the stream reproducible."""
@@ -228,10 +244,15 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if not self.weights:
             raise ValueError("weights must not be empty")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("weights must be non-negative")
-        if sum(self.weights.values()) <= 0:
+        for origin, w in self.weights.items():
+            if not 0 <= w < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"weight of {origin!r} must be non-negative and finite, got {w}")
+        drawn = [w for _, w in sorted(self.weights.items()) if w > 0]
+        if not drawn:
             raise ValueError("at least one weight must be positive")
+        # the total sample_stream divides by
+        if _float64_sum(drawn) == math.inf:
+            raise ValueError("the weights must have a finite total")
         object.__setattr__(self, "weights", dict(self.weights))
 
 
@@ -248,7 +269,10 @@ def sample_stream(
     An element is usually a record, or just its id when that is all the
     caller needs; the draws are the same either way. Origins with weight
     zero are never drawn. An origin with positive weight but no elements
-    raises EmptyCorpus up front.
+    raises EmptyCorpus when this is called, before any draw.
+
+    The draws are those of numpy's ``Generator(PCG64(config.seed))`` over
+    ``np.cumsum(weights / np.sum(weights))``, replayed without numpy.
     """
     pools: dict[str, list[P]] = {}
     for records, origin in manifests:
@@ -259,17 +283,19 @@ def sample_stream(
         if not pools.get(origin):
             raise EmptyCorpus(f"origin {origin!r} has positive weight but no records")
 
-    names = [origin for origin, _ in active]
-    weights = np.array([w for _, w in active], dtype=np.float64)
-    # bisect_right on the exact float64 values picks what
-    # np.searchsorted(side="right") picks, without a numpy call per draw
-    cumulative = np.cumsum(weights / weights.sum()).tolist()
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    while True:
-        u = rng.random()
-        pick = min(bisect_right(cumulative, u), len(names) - 1)
-        pool = pools[names[pick]]
-        yield pool[int(rng.integers(0, len(pool)))]
+    chosen = [pools[origin] for origin, _ in active]
+    total = _float64_sum([w for _, w in active])
+    # np.cumsum is a left fold; bisect_right on its values picks what
+    # np.searchsorted(side="right") picks
+    cumulative = list(itertools.accumulate(w / total for _, w in active))
+    rng = PCG64(config.seed)
+
+    def draws() -> Iterator[P]:
+        while True:
+            pool = chosen[min(bisect_right(cumulative, rng.random()), len(chosen) - 1)]
+            yield pool[rng.integers(0, len(pool))]
+
+    return draws()
 
 
 def corpus_stats(path: str | Path) -> dict[str, Any]:

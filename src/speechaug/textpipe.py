@@ -326,8 +326,9 @@ def run_text_stage(
 def reservoir_take(lines: Iterable[str], n: int, rng: Any) -> list[str]:
     """Uniformly sample ``n`` lines in one pass, preserving input order.
 
-    Standard reservoir sampling; ``rng`` is a numpy Generator. Returns all
-    lines when the input holds fewer than ``n``.
+    Standard reservoir sampling; ``rng`` is any object with a scalar
+    ``integers(low, high)``, such as a numpy Generator. Returns all lines
+    when the input holds fewer than ``n``.
     """
     if n <= 0:
         return []

@@ -601,6 +601,20 @@ class TestTextaug:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "1.5", "seven"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys, value):
+        out_dir = tmp_path / "out"
+        code = main([
+            "textaug", "--in", str(tmp_path / "missing.txt"), "--out", str(out_dir),
+            "--language", "en", "--to", "xx", "--take-n", "1", "--seed", value,
+        ])
+        assert code == 1
+        # refused before the corpus is looked for
+        assert capsys.readouterr() == (
+            "", f"error: argument --seed: expected a non-negative integer, got {value!r}\n"
+        )
+        assert not out_dir.exists()
+
     def test_bad_policy_value(self, tmp_path):
         corpus = self.write_corpus(tmp_path / "corpus.txt")
         assert main([
@@ -883,6 +897,12 @@ def write_wrong_type_manifest(path: Path, text: str) -> Path:
     return path
 
 
+# the manifests of test_pinned_ids_of_the_ci_manifests: file name, id
+# prefix, record count, record origin
+SAMPLE_PIN_MANIFESTS = [("real", "r", 5, "real"), ("aug", "a", 3, "text_aug"), ("extra", "x", 2, "text_aug")]
+SAMPLE_PIN = "r0 r1 a2 x1 x0 r0 x0 r2 x0 x1 r0 a2 r1 r1 r4 a0 r1 a0 r0 x0".split()
+
+
 class TestSample:
     def write_manifests(self, tmp_path: Path) -> tuple[Path, Path]:
         real = tmp_path / "real.jsonl"
@@ -995,6 +1015,62 @@ class TestSample:
         assert captured.err.splitlines() == [
             f"error: cannot read manifest {real}: line 3: {reason}"
         ]
+
+    @pytest.mark.parametrize("weights,reason", [
+        ("real=nan,text_aug=1", "weight of 'real' must be non-negative and finite, got nan"),
+        ("real=inf,text_aug=1", "weight of 'real' must be non-negative and finite, got inf"),
+        ("real=1e308,text_aug=1e308", "the weights must have a finite total"),
+    ])
+    def test_weights_that_are_not_finite_are_one_error_line(self, tmp_path, capsys, weights, reason):
+        real, aug = self.write_manifests(tmp_path)
+        assert main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--weights", weights, "-n", "5", "--seed", "2",
+        ]) == 1
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
+
+    @pytest.mark.parametrize("value", ["-1", "2.0", "two"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys, value):
+        # refused before the manifest is looked for
+        assert main([
+            "sample", "--manifest", f"real={tmp_path / 'missing.jsonl'}",
+            "--weights", "real=1", "-n", "5", "--seed", value,
+        ]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: argument --seed: expected a non-negative integer, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_weighted_empty_origin_is_refused_at_any_count(self, tmp_path, capsys, count):
+        real, _ = self.write_manifests(tmp_path)
+        assert main([
+            "sample", "--manifest", f"real={real}",
+            "--weights", "real=1,text_aug=1", "-n", count, "--seed", "2",
+        ]) == 1
+        assert capsys.readouterr() == (
+            "", "error: origin 'text_aug' has positive weight but no records\n"
+        )
+
+    def test_pinned_ids_of_the_ci_manifests(self, tmp_path, capsys):
+        # The CI job without numpy (Python 3.12) writes these three
+        # manifests line for line and checks its `sample` output against
+        # SAMPLE_PIN, so the stream is pinned across Python versions and
+        # apart from numpy
+        for name, prefix, count, origin in SAMPLE_PIN_MANIFESTS:
+            lines = ['{"schema": "speechaug-manifest-v1"}'] + [
+                f'{{"id": "{prefix}{i}", "source_audio": "audio/{prefix}{i}.wav", '
+                f'"duration_s": 1.0, "target_units": "1 2", "origin": "{origin}", '
+                f'"src_lang": "en", "tgt_lang": "de"}}'
+                for i in range(count)
+            ]
+            (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+        assert main([
+            "sample", "--manifest", f"real={tmp_path / 'real.jsonl'}",
+            "--manifest", f"text_aug={tmp_path / 'aug.jsonl'}",
+            "--manifest", f"extra={tmp_path / 'extra.jsonl'}",
+            "--weights", "real=0.5,text_aug=0.3,extra=0.2", "-n", "20", "--seed", "2024",
+        ]) == 0
+        assert capsys.readouterr().out == "".join(f"{record_id}\n" for record_id in SAMPLE_PIN)
 
     def test_weighted_empty_origin(self, tmp_path):
         real, _ = self.write_manifests(tmp_path)

@@ -24,6 +24,9 @@ TRACED_MODULES = ["audio", "effects", "chain", "ports", "textpipe", "manifest", 
 # A None entry in sys.modules makes every later `import numpy` raise ImportError.
 _BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
+# reports on stderr, at exit, whether numpy was imported
+_REPORT_NUMPY = "import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+
 _MAIN = "from speechaug.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # counts the forks, and whether numpy was imported at each; the children
@@ -85,6 +88,37 @@ def test_textaug_and_stats_run_with_numpy_blocked(tmp_path):
         ]
     assert runs["blocked"] == runs["free"]
     assert json.loads(runs["free"][3])["records"] == 3
+
+
+def test_sample_and_take_n_run_with_numpy_blocked(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"sentence number {i} is here\n" for i in range(12)))
+    real, aug = tmp_path / "real.jsonl", tmp_path / "aug.jsonl"
+    write_manifest([record(f"r{i}") for i in range(6)], real)
+    write_manifest([record(f"a{i}", origin="text_aug") for i in range(4)], aug)
+    runs = {}
+    for label, prelude in (("blocked", _BLOCK_NUMPY), ("free", _REPORT_NUMPY)):
+        out = tmp_path / label
+        textaug = run_python(
+            prelude + _MAIN, "textaug", "--in", str(corpus), "--out", str(out),
+            "--language", "en", "--to", "xx", "--take-n", "2", "--seed", "5",
+        )
+        sample = run_python(
+            prelude + _MAIN, "sample", "--manifest", f"real={real}", "--manifest",
+            f"text_aug={aug}", "--weights", "real=0.4,text_aug=0.6", "-n", "200", "--seed", "5",
+        )
+        assert (textaug.returncode, sample.returncode) == (0, 0), textaug.stderr + sample.stderr
+        runs[label] = [
+            textaug.stdout,
+            (out / "pairs.tsv").read_bytes(),
+            (out / "stats.json").read_bytes(),
+            sample.stdout,
+        ]
+        if label == "free":
+            assert (textaug.stderr, sample.stderr) == ("False\n", "False\n")
+    assert runs["blocked"] == runs["free"]
+    assert json.loads(runs["free"][0])["input_sentences"] == 2
+    assert len(runs["free"][3].split()) == 200
 
 
 def test_build_needs_numpy(tmp_path):

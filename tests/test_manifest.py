@@ -483,6 +483,15 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(weights={"real": 0.0, "text_aug": 0.0}, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_weight_that_is_not_finite(self, bad):
+        with pytest.raises(ValueError, match="'real' must be non-negative and finite"):
+            SamplerConfig(weights={"real": bad, "text_aug": 1.0}, seed=0)
+
+    def test_rejects_a_total_that_is_not_finite(self):
+        with pytest.raises(ValueError, match="finite total"):
+            SamplerConfig(weights={"real": 1e308, "text_aug": 1e308}, seed=0)
+
 
 def reference_stream(manifests, config):
     """The per-draw np.searchsorted loop sample_stream used to run."""
@@ -499,6 +508,9 @@ def reference_stream(manifests, config):
         pick = min(int(np.searchsorted(cumulative, u, side="right")), len(names) - 1)
         pool = pools[names[pick]]
         yield pool[int(rng.integers(0, len(pool)))]
+
+
+PINNED_IDS = "a7 a5 a9 a6 x2 r5 a3 x2 r3 x1 r7 r9 a7 x0 a0 a4 r2 a6 a2 a6".split()
 
 
 class TestSampleStream:
@@ -547,6 +559,25 @@ class TestSampleStream:
         config = SamplerConfig(weights={"real": 1.0, "text_aug": 1.0}, seed=0)
         with pytest.raises(EmptyCorpus):
             next(sample_stream([(self.pools()[0][0], "real")], config))
+
+    def test_empty_pool_is_refused_before_the_first_draw(self):
+        config = SamplerConfig(weights={"real": 1.0, "text_aug": 1.0}, seed=0)
+        with pytest.raises(EmptyCorpus):
+            sample_stream([(self.pools()[0][0], "real")], config)
+
+    def test_refuses_the_seeds_numpy_refuses_when_called(self):
+        weights = {"real": 1.0, "text_aug": 1.0}
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_stream(self.pools(), SamplerConfig(weights=weights, seed=-1))
+        with pytest.raises(TypeError):
+            sample_stream(self.pools(), SamplerConfig(weights=weights, seed=1.5))
+
+    def test_first_ids_of_a_three_origin_draw_are_pinned(self):
+        # a literal, not a numpy run: the stream stays what it is whatever
+        # numpy version is installed, or none
+        pools = self.pools() + [([record("x0"), record("x1"), record("x2")], "extra")]
+        config = SamplerConfig(weights={"real": 0.2, "text_aug": 0.5, "extra": 0.3}, seed=99)
+        assert [r.id for r in itertools.islice(sample_stream(pools, config), 20)] == PINNED_IDS
 
     def test_rough_balance(self):
         config = SamplerConfig(weights={"real": 1.0, "text_aug": 1.0}, seed=21)
