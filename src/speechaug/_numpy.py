@@ -21,7 +21,7 @@ class _Numpy(types.ModuleType):
         self.__dict__.update(vars(numpy))
         # a plain module from here on: later reads are dict lookups that
         # skip this hook, and numpy's own __getattr__, now in the dict,
-        # serves its lazily imported submodules such as numpy.random
+        # serves its lazily imported submodules
         self.__class__ = types.ModuleType
         return getattr(self, name)
 

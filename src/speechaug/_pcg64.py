@@ -2,6 +2,9 @@
 SeedSequence's hash of the seed, the 128-bit LCG with its XSL-RR output and
 Lemire's bounded integers, each as numpy's C code does it. A seed draws what
 it draws under numpy, without numpy, and no numpy version can change that.
+
+It is the package's one generator: the effect chain's per-utterance draws,
+the weighted sampler and ``textaug --take-n``'s reservoir all come from it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def _seed_words(seed: int) -> list[int]:
 
 
 class PCG64:
-    """The draws of ``np.random.Generator(np.random.PCG64(seed))``."""
+    """The draws of numpy's ``Generator(PCG64(seed))``."""
 
     __slots__ = ("_state", "_inc", "_half")
 

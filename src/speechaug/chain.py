@@ -3,9 +3,9 @@
 A chain is an ordered list of effect specs. Applying the chain walks the
 specs from the last to the first: each one fires independently with its
 configured probability, drawing its parameters uniformly from the
-configured ranges. All randomness comes from one generator seeded by a
-stable hash of (global_seed, utterance_id), so results do not depend on
-processing order, worker count, or the process hash seed.
+configured ranges. All randomness comes from one ``_pcg64.PCG64`` seeded
+by a stable hash of (global_seed, utterance_id), so results do not depend
+on processing order, worker count, or the process hash seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from ._numpy import np
+from ._pcg64 import PCG64
 from .audio import AudioBuffer, _write_file
 from .effects import NoiseBank, apply_lowpass, apply_pitch, apply_speed, mix_picks
 from .errors import ChainStageError, EmptyNoiseBank, SpeechAugError
@@ -306,13 +306,13 @@ def apply_chain(
     if needs_bank(config) and (bank is None or len(bank) == 0):
         raise EmptyNoiseBank("this chain mixes noise but no bank entries were given")
 
-    rng = np.random.Generator(np.random.PCG64(utterance_seed(config.global_seed, utterance_id)))
+    rng = PCG64(utterance_seed(config.global_seed, utterance_id))
     current = buffer
     stages: list[StageTrace | None] = [None] * len(config.specs)
     for pos in range(len(config.specs) - 1, -1, -1):
         spec = config.specs[pos]
         effect = EFFECTS[spec.kind]
-        u_gate, *u = rng.random(1 + effect.uniforms(spec)).tolist()
+        u_gate, *u = [rng.random() for _ in range(1 + effect.uniforms(spec))]
         applied = u_gate < spec.probability
         params: Params = {}
         if applied:

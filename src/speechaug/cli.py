@@ -15,6 +15,7 @@ import json
 import logging
 import shlex
 import sys
+from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator
@@ -157,13 +158,7 @@ def _make_synthesizer(spec: str, sample_rate: int):
 
 def _policy_from_args(args: argparse.Namespace) -> FilterPolicy:
     try:
-        return FilterPolicy(
-            max_length_ratio=args.max_length_ratio,
-            max_repetition_run=args.max_repetition_run,
-            min_tokens=args.min_tokens,
-            max_tokens=args.max_tokens,
-            max_special_char_ratio=args.max_special_char_ratio,
-        )
+        return FilterPolicy(**{f.name: getattr(args, f.name) for f in fields(FilterPolicy)})
     except ValueError as err:
         raise CliError(str(err)) from err
 
@@ -174,9 +169,9 @@ def cmd_textaug(args: argparse.Namespace) -> int:
         raise CliError(f"--in {in_path} is not a file")
     out_dir = Path(args.out_path)
     sentences = iter_lines(in_path)
+    if (args.take_n is None) != (args.seed is None):
+        raise CliError("--take-n needs --seed" if args.seed is None else "--seed needs --take-n")
     if args.take_n is not None:
-        if args.seed is None:
-            raise CliError("--take-n needs --seed")
         sentences = reservoir_take(sentences, args.take_n, PCG64(args.seed))
     policy = _policy_from_args(args)
     translator = _make_translator(args.translator)
@@ -260,6 +255,10 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    try:
+        config = SamplerConfig(weights=_parse_weights(args.weights), seed=args.seed)
+    except ValueError as err:
+        raise CliError(str(err)) from err
     # every record is validated, but a pool keeps only the ids it prints
     pools = []
     for item in args.manifest:
@@ -272,7 +271,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
             raise CliError(f"cannot read manifest {path}: {err}") from err
         pools.append((ids, origin.strip()))
     try:
-        config = SamplerConfig(weights=_parse_weights(args.weights), seed=args.seed)
         stream = sample_stream(pools, config)
         sys.stdout.writelines(f"{record_id}\n" for record_id in islice(stream, args.count))
     except ValueError as err:
@@ -336,12 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, help="language to translate into")
     p.add_argument("--translator", default="mock", help="mock, mock-notag or subprocess:CMD")
     p.add_argument("--take-n", type=_positive_int, default=None, help="reservoir-sample N input lines")
-    p.add_argument("--seed", type=_non_negative_int, default=None, help="seed (required with --take-n)")
-    p.add_argument("--max-length-ratio", type=float, default=3.0)
-    p.add_argument("--max-repetition-run", type=int, default=3)
-    p.add_argument("--min-tokens", type=int, default=1)
-    p.add_argument("--max-tokens", type=int, default=200)
-    p.add_argument("--max-special-char-ratio", type=float, default=0.2)
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="seed (only with --take-n)")
+    # the filter thresholds, one option per FilterPolicy field, with its default
+    for f in fields(FilterPolicy):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_textaug)
 
     p = sub.add_parser("build", help="synthesize audio and a manifest from sentence pairs")

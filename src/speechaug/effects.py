@@ -11,7 +11,7 @@ import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from ._numpy import np
 from .audio import AudioBuffer, _resample_ratio, load_wav, resample
@@ -408,16 +408,18 @@ def mix_noise(
     bank: NoiseBank,
     n_segments: int,
     snr_db: float,
-    rng: np.random.Generator,
+    rng: Any,
 ) -> tuple[AudioBuffer, MixReport]:
     """Mix ``n_segments`` bank entries into the signal at ``snr_db``.
 
     Entries are drawn uniformly with replacement and each is dropped in at a
-    uniform start offset, truncated at the signal's end. One gain is applied
-    to the aggregate track so the requested SNR holds for the mix as a
-    whole. A silent signal forces the gain to zero (output equals input);
-    a silent aggregate track is flagged degenerate and also returns the
-    input unchanged.
+    uniform start offset, truncated at the signal's end. ``rng`` is any
+    object with a scalar ``integers(low, high)``: ``_pcg64.PCG64`` and
+    numpy's ``Generator`` draw the same. One gain is applied to the
+    aggregate track so the requested SNR holds for the mix as a whole. A
+    silent signal forces the gain to zero (output equals input); a silent
+    aggregate track is flagged degenerate and also returns the input
+    unchanged.
     """
     if not 1 <= n_segments <= 4:
         raise ValueError(f"n_segments must be in 1..4, got {n_segments}")

@@ -15,7 +15,6 @@ import operator
 import os
 import pickle
 import signal
-import struct
 import subprocess
 import threading
 from collections import deque
@@ -23,7 +22,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
-from typing import Any, BinaryIO, Protocol, TypeVar, runtime_checkable
+from typing import BinaryIO, Protocol, TypeVar, runtime_checkable
 
 from ._numpy import np
 from .audio import AudioBuffer, load_wav, resample
@@ -237,8 +236,9 @@ def ordered_map(
         pid, tasks, results = adopted.child
         try:
             _send(tasks, item)
-            ok, outcome = _receive(results)
-        except (BrokenPipeError, EOFError):
+            ok, outcome = pickle.load(results)
+        except (BrokenPipeError, EOFError, pickle.UnpicklingError):
+            # a pipe that closed, also part way through an answer
             _, status = os.waitpid(pid, 0)
             unreaped.discard(pid)
             code = os.waitstatus_to_exitcode(status)
@@ -284,27 +284,12 @@ def ordered_map(
                 tasks.close()
 
 
-# the length of a pickled message, sent ahead of it
-_LENGTH = struct.Struct("<Q")
-
-
 def _send(pipe: BinaryIO, message: object) -> None:
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    pipe.write(_LENGTH.pack(len(data)))
-    pipe.write(data)
+    """Write one message, which ``pickle.load`` reads back: a pickle marks
+    its own end. It is pickled whole before a byte is written, so one that
+    does not pickle leaves the pipe as it was."""
+    pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
     pipe.flush()
-
-
-def _receive(pipe: BinaryIO) -> Any:
-    """The next message ``_send`` wrote to ``pipe``; EOFError at end of
-    file, also part way through a message."""
-    head = pipe.read(_LENGTH.size)
-    if len(head) == _LENGTH.size:
-        (size,) = _LENGTH.unpack(head)
-        body = pipe.read(size)
-        if len(body) == size:
-            return pickle.loads(body)
-    raise EOFError("the pipe closed")
 
 
 def _serve(attempt: Callable[[T], object], tasks: BinaryIO, results: BinaryIO) -> None:
@@ -312,7 +297,7 @@ def _serve(attempt: Callable[[T], object], tasks: BinaryIO, results: BinaryIO) -
     ``(False, exception)``, until end of file."""
     with contextlib.suppress(EOFError):
         while True:
-            item = _receive(tasks)
+            item = pickle.load(tasks)
             try:
                 _send(results, (True, attempt(item)))
             except Exception as err:

@@ -327,8 +327,8 @@ def reservoir_take(lines: Iterable[str], n: int, rng: Any) -> list[str]:
     """Uniformly sample ``n`` lines in one pass, preserving input order.
 
     Standard reservoir sampling; ``rng`` is any object with a scalar
-    ``integers(low, high)``, such as a numpy Generator. Returns all lines
-    when the input holds fewer than ``n``.
+    ``integers(low, high)``: ``_pcg64.PCG64`` and numpy's ``Generator``
+    draw the same. Returns all lines when the input holds fewer than ``n``.
     """
     if n <= 0:
         return []

@@ -317,3 +317,27 @@ class TestUtteranceSeed:
 
     def test_no_separator_collision(self):
         assert utterance_seed(12, "3x") != utterance_seed(1, "23x")
+
+
+class TestDrawsMatchNumpy:
+    def test_traces_follow_numpys_generator(self, bank):
+        # the reference is the draw apply_chain made with numpy: per spec,
+        # last to first, Generator(PCG64(seed)).random(1 + k), the gate first
+        config = default_chain(global_seed=7)
+        buffer = make_sine(440.0, 0.1, 16000, amplitude=0.4)
+        fired = 0
+        for i in range(200):
+            utterance_id = f"utt{i:03d}"
+            _, trace = apply_chain(config, buffer, utterance_id, bank)
+            gen = np.random.Generator(np.random.PCG64(utterance_seed(7, utterance_id)))
+            for spec, stage in reversed(list(zip(config.specs, trace.stages))):
+                effect = EFFECTS[spec.kind]
+                u_gate, *u = gen.random(1 + effect.uniforms(spec)).tolist()
+                assert stage.applied == (u_gate < spec.probability)
+                if stage.applied:
+                    fired += 1
+                    # the noise stage comes last, so it is applied first,
+                    # to the input; the other kinds resolve without it
+                    expected = effect.resolve(spec, u, buffer, bank)
+                    assert {key: stage.params[key] for key in expected} == expected
+        assert 300 < fired < 500

@@ -9,6 +9,7 @@ import shlex
 import signal
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from speechaug import (
     AppliedTrace,
+    FilterPolicy,
     TextPair,
     read_manifest,
     save_wav,
@@ -500,6 +502,37 @@ class TestTextaug:
             "textaug", "--in", str(corpus), "--out", str(tmp_path / "out"),
             "--language", "en", "--to", "xx", "--take-n", "3",
         ]) == 1
+
+    def test_seed_needs_take_n(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(cli, "SubprocessTranslator", started.append)
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        out_dir = tmp_path / "out"
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(out_dir),
+            "--language", "en", "--to", "xx", "--seed", "3",
+            "--translator", "subprocess:engine",
+        ])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: --seed needs --take-n\n")
+        assert started == []
+        assert not out_dir.exists()
+
+    def test_filter_options_default_to_the_policy(self):
+        argv = ["textaug", "--in", "c.txt", "--out", "o", "--language", "en", "--to", "xx"]
+        args = cli.build_parser().parse_args(argv)
+        assert cli._policy_from_args(args) == FilterPolicy()
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(FilterPolicy)])
+    def test_each_filter_option_reaches_its_field(self, field):
+        # a value other than the default, which every field accepts
+        value = {"max_length_ratio": 2.5, "max_repetition_run": 5, "min_tokens": 2,
+                 "max_tokens": 50, "max_special_char_ratio": 0.5}[field]
+        argv = ["textaug", "--in", "c.txt", "--out", "o", "--language", "en", "--to", "xx",
+                "--" + field.replace("_", "-"), str(value)]
+        policy = cli._policy_from_args(cli.build_parser().parse_args(argv))
+        assert policy == FilterPolicy(**{field: value})
+        assert type(getattr(policy, field)) is type(value)
 
     def test_take_n_limits_input(self, tmp_path, capsys):
         corpus = self.write_corpus(tmp_path / "corpus.txt")
@@ -1039,6 +1072,19 @@ class TestSample:
         assert capsys.readouterr() == (
             "", f"error: argument --seed: expected a non-negative integer, got {value!r}\n"
         )
+
+    @pytest.mark.parametrize("weights,reason", [
+        ("real=abc", "bad weight in 'real=abc': could not convert string to float: 'abc'"),
+        ("real=nan", "weight of 'real' must be non-negative and finite, got nan"),
+    ])
+    def test_weights_are_refused_before_any_manifest_is_read(
+        self, tmp_path, capsys, weights, reason
+    ):
+        assert main([
+            "sample", "--manifest", f"real={tmp_path / 'nope.jsonl'}",
+            "--weights", weights, "-n", "3", "--seed", "1",
+        ]) == 1
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
 
     @pytest.mark.parametrize("count", ["0", "1"])
     def test_weighted_empty_origin_is_refused_at_any_count(self, tmp_path, capsys, count):

@@ -12,10 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import speechaug
 from speechaug import TextPair, save_wav, write_manifest, write_pairs_tsv
 
-from conftest import make_sine
+from conftest import make_noise_bank, make_sine
 from test_manifest import record
 
 # every module the benchmark tracer wraps functions of
@@ -26,6 +29,16 @@ _BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 # reports on stderr, at exit, whether numpy was imported
 _REPORT_NUMPY = "import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+
+# numpy.random alone: numpy still imports, its random submodule does not
+_BLOCK_NUMPY_RANDOM = "import sys; sys.modules['numpy.random'] = None; "
+
+# whether numpy.random was imported, at exit, and room for two forked workers
+_REPORT_NUMPY_RANDOM = (
+    "import atexit, os, sys; os.cpu_count = lambda: 4; "
+    "atexit.register(lambda: print(sys.modules.get('numpy.random') is not None,"
+    " file=sys.stderr)); "
+)
 
 _MAIN = "from speechaug.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -151,3 +164,47 @@ def test_augment_workers_inherit_numpy_from_the_parent(tmp_path):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"processed": 3, "failed": 0}
     assert result.stderr.splitlines() == ["[True, True]"]
+
+
+def test_build_and_augment_run_with_numpy_random_blocked(tmp_path):
+    # the effect chain draws from speechaug's own PCG64, not numpy's
+    eager = run_python("import sys, numpy; print('numpy.random' in sys.modules)")
+    if eager.stdout.strip() != "False":
+        pytest.skip("this numpy imports numpy.random with itself")
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_tsv(
+        [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(6)], pairs
+    )
+    noise = tmp_path / "noise"
+    noise.mkdir()
+    for entry in make_noise_bank(3, 16000, np.random.default_rng(3)).entries:
+        save_wav(entry.buffer, noise / f"{entry.id}.wav", encoding="float32")
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(6):
+        save_wav(make_sine(300.0 + 40.0 * i, 0.3, 16000), inputs / f"utt{i}.wav")
+    runs = {}
+    for label, prelude in (
+        ("blocked", _BLOCK_NUMPY_RANDOM + _REPORT_NUMPY_RANDOM),
+        ("free", _REPORT_NUMPY_RANDOM),
+    ):
+        out = tmp_path / label
+        build = run_python(
+            prelude + _MAIN, "build", "--pairs", str(pairs), "--out", str(out / "build"),
+            "--seed", "3", "--units-k", "50", "--noise-dir", str(noise), "--augment-target",
+        )
+        augment = run_python(
+            prelude + _MAIN, "augment", "--in", str(inputs), "--out", str(out / "augment"),
+            "--seed", "3", "--noise-dir", str(noise), "--workers", "2",
+        )
+        assert (build.returncode, augment.returncode) == (0, 0), build.stderr + augment.stderr
+        assert (build.stderr, augment.stderr) == ("False\n", "False\n")
+        runs[label] = {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+    assert runs["blocked"] == runs["free"]
+    assert len(runs["free"]) == 6 + 1 + 6 + 1  # the WAVs, the manifest and traces.jsonl
+    traces = runs["free"]["augment/traces.jsonl"].decode().splitlines()
+    assert any('"applied": true' in line for line in traces)

@@ -486,6 +486,53 @@ class TestOrderedMap:
         with pytest.raises(WorkerDied, match=r"killed by signal 9 during item 4"):
             list(ordered_map(fn, range(6), 2, processes=True))
 
+    @pytest.mark.parametrize("kept", [0, 1, 4096, None], ids=["none", "1 byte", "4 KiB", "half"])
+    def test_truncated_answer_is_a_typed_error(self, monkeypatch, kept):
+        # the child writes the first bytes of its answer to item 3 and is
+        # killed: the parent reads a pickle cut short
+        send = ports._send
+
+        def cut_send(pipe, message):
+            if message == (True, (3, b"x" * 100_000)):
+                data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                pipe.write(data[: len(data) // 2 if kept is None else kept])
+                pipe.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            send(pipe, message)
+
+        monkeypatch.setattr(ports, "_send", cut_send)
+        outcomes = ordered_map(lambda i: (i, b"x" * 100_000), range(6), 2, processes=True)
+        died = r"^worker process \d+ was killed by signal 9 during item 4$"
+        with pytest.raises(WorkerDied, match=died):
+            list(outcomes)
+
+    def test_large_answers_arrive_whole(self):
+        # answers of 300-600 KB are several pipe buffers each
+        outcomes = ordered_map(
+            lambda i: bytes([i]) * (300_000 + 7_500 * i), range(40), 2, processes=True
+        )
+        for i, outcome in enumerate(outcomes):
+            assert outcome == bytes([i]) * (300_000 + 7_500 * i)
+
+    def test_answer_that_does_not_pickle_leaves_the_pipe_clean(self):
+        # the first answer fails to pickle after a large picklable part, and
+        # so does the exception the child then sends in its place
+        def fn(i: int) -> object:
+            if i == 1:
+                return [b"x" * 200_000, lambda: None]
+            if i == 2:
+                raise ValueError(b"y" * 200_000, lambda: None)
+            return i
+
+        outcomes = ordered_map(fn, range(3), 2, processes=True)
+        assert next(outcomes) == 0
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            next(outcomes)
+        outcomes = ordered_map(fn, [0, 2, 3], 2, processes=True)
+        assert next(outcomes) == 0
+        with pytest.raises(RuntimeError, match="^ValueError: "):
+            next(outcomes)
+
     @pytest.mark.parametrize("ending", ["return", "typed failure", "bug", "killed"])
     def test_no_child_outlives_the_call(self, tmp_path, ending):
         def fn(i: int) -> int:
