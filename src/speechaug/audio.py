@@ -58,12 +58,16 @@ class AudioBuffer:
         if int(self.sample_rate) <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        # float32 is checked and clipped as it is, which is exact; any other
+        # dtype in float64, clipped before the cast so it cannot overflow
+        if samples.dtype != np.float32:
+            samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional (mono)")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples contain NaN or infinity")
-        samples = np.clip(samples, -1.0, 1.0).astype(np.float32)
+        samples = np.clip(samples, -1.0, 1.0).astype(np.float32, copy=False)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 

@@ -27,9 +27,9 @@ from .effects import NoiseBank
 from .errors import SpeechAugError
 from .manifest import (
     SamplerConfig,
+    _iter_summaries,
     build_manifest,
     corpus_stats,
-    iter_manifest,
     sample_stream,
 )
 from .ports import (
@@ -243,15 +243,22 @@ def _parse_weights(text: str) -> dict[str, float]:
         if not part.strip():
             continue
         name, _, value = part.partition("=")
-        if not _ or not name.strip():
+        name = name.strip()
+        if not _ or not name:
             raise CliError(f"bad --weights entry {part!r}, expected origin=value")
+        if name in weights:
+            raise CliError(f"--weights names origin {name!r} twice")
         try:
-            weights[name.strip()] = float(value)
+            weights[name] = float(value)
         except ValueError as err:
             raise CliError(f"bad weight in {part!r}: {err}") from err
     if not weights:
         raise CliError("--weights is empty")
     return weights
+
+
+# Ids written to stdout at a time.
+_SAMPLE_BLOCK = 4096
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -266,13 +273,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if not _ or not origin.strip():
             raise CliError(f"bad --manifest entry {item!r}, expected origin=path")
         try:
-            ids = [record.id for record in iter_manifest(path)]
+            ids = [summary[0] for summary in _iter_summaries(path)]
         except (OSError, SpeechAugError) as err:
             raise CliError(f"cannot read manifest {path}: {err}") from err
         pools.append((ids, origin.strip()))
     try:
-        stream = sample_stream(pools, config)
-        sys.stdout.writelines(f"{record_id}\n" for record_id in islice(stream, args.count))
+        drawn = islice(sample_stream(pools, config), args.count)
+        # a few thousand ids per write: unbuffered, each write is a system call
+        while block := list(islice(drawn, _SAMPLE_BLOCK)):
+            sys.stdout.write("\n".join(block) + "\n")
     except ValueError as err:
         raise CliError(str(err)) from err
     return EXIT_OK

@@ -13,11 +13,12 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from ._pcg64 import PCG64
 from .audio import _write_file, save_wav
@@ -35,6 +36,18 @@ _RECORD_KEYS = ("id", "source_audio", "duration_s", "target_units", "origin", "s
 _record_fields = operator.itemgetter(*_RECORD_KEYS)
 # the exact types json.loads gives the fields of a line the writer wrote
 _FIELD_TYPES = (str, str, float, str, str, str, str)
+
+
+def _exact_fields(data: Any) -> tuple | None:
+    """The record fields of a JSON value, in ``_RECORD_KEYS`` order, when it
+    is a dict holding each with the type the writer gives it; else None."""
+    if type(data) is not dict:
+        return None
+    try:
+        fields = _record_fields(data)
+    except KeyError:
+        return None
+    return fields if tuple(map(type, fields)) == _FIELD_TYPES else None
 
 
 @dataclass(frozen=True)
@@ -74,14 +87,11 @@ class ManifestRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ManifestRecord":
-        try:
-            fields = _record_fields(data) if type(data) is dict else None
-        except KeyError:
-            fields = None
         # json.loads builds exact dicts, strs and floats, so a line the
         # writer wrote passes on its field types alone; anything else is
         # checked field by field, and refused with the reason
-        if fields is None or tuple(map(type, fields)) != _FIELD_TYPES:
+        fields = _exact_fields(data)
+        if fields is None:
             if not isinstance(data, Mapping):
                 raise ValueError(f"record must be a JSON object, not {type(data).__name__}")
             missing = [k for k in _RECORD_KEYS if k not in data]
@@ -111,13 +121,25 @@ def write_manifest(records: Sequence[ManifestRecord], path: str | Path) -> None:
     _write_file(path, itertools.chain([json.dumps({"schema": MANIFEST_SCHEMA}) + "\n"], lines))
 
 
-def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
-    """Parse a manifest one line at a time, raising MalformedManifest with
-    the offending line number when a line is reached that does not parse.
+T = TypeVar("T")
 
-    Lines are split as ``iter_lines`` splits them, and only one block of
-    the file is held at a time.
-    """
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _loads(line: str) -> Any:
+    """``json.loads(line)``. A line that is one JSON value and nothing else
+    is scanned without its wrappers; any other line goes through it, so
+    every error is its own."""
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    return value if end == len(line) else json.loads(line)
+
+
+def _parse_lines(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
+    """``parse`` of the JSON value of each record line, as ``iter_manifest``
+    reads them, with its errors: a ValueError of ``parse`` names the line."""
     lines = iter_lines(path)
     try:
         first = next(lines, None)
@@ -130,18 +152,53 @@ def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
         if not isinstance(header, dict) or header.get("schema") != MANIFEST_SCHEMA:
             raise MalformedManifest(1, f"expected schema header {MANIFEST_SCHEMA!r}")
         for line_no, raw in enumerate(lines, 2):
-            if not raw.strip():
+            if not raw or raw.isspace():
                 continue
             try:
-                record = ManifestRecord.from_dict(json.loads(raw))
+                parsed = parse(_loads(raw))
             # an integer duration too large for a float raises OverflowError
             except (json.JSONDecodeError, ValueError, OverflowError) as err:
                 raise MalformedManifest(line_no, str(err)) from err
-            yield record
+            yield parsed
     except MalformedText as err:
         raise MalformedManifest(err.line_number, f"not valid UTF-8 ({err.reason})") from err
     finally:
         lines.close()
+
+
+def iter_manifest(path: str | Path) -> Iterator[ManifestRecord]:
+    """Parse a manifest one line at a time, raising MalformedManifest with
+    the offending line number when a line is reached that does not parse.
+
+    Lines are split as ``iter_lines`` splits them, and only one block of
+    the file is held at a time.
+    """
+    return _parse_lines(path, ManifestRecord.from_dict)
+
+
+# Units as the writer writes them: ASCII digits with no leading zero, one
+# space apart, so two units are equal exactly when their strings are, and
+# each unit is followed by a different one. Longer numbers are left to
+# int(), whose digit limit may refuse them.
+_CANONICAL_UNITS = re.compile(r"(?:(0|[1-9][0-9]{0,17})(?! \1(?![0-9])) )*(?:0|[1-9][0-9]{0,17})")
+
+
+def _summarize(data: Any) -> tuple[str, float, int, str]:
+    """(id, duration_s, unit count, origin) of a record's JSON value, as
+    ``from_dict`` gives them; a line the writer wrote passes without a
+    record being built, and any other value goes through ``from_dict``."""
+    fields = _exact_fields(data)
+    if fields is not None:
+        id_, _, duration_s, units, origin, _, _ = fields
+        if id_ and 0 < duration_s < math.inf and origin in ORIGINS and _CANONICAL_UNITS.fullmatch(units):
+            return id_, duration_s, units.count(" ") + 1, origin
+    record = ManifestRecord.from_dict(data)
+    return record.id, record.duration_s, len(record.target_units), record.origin
+
+
+def _iter_summaries(path: str | Path) -> Iterator[tuple[str, float, int, str]]:
+    """``_summarize`` of each record of a manifest, with ``iter_manifest``'s errors."""
+    return _parse_lines(path, _summarize)
 
 
 def read_manifest(path: str | Path) -> list[ManifestRecord]:
@@ -256,13 +313,10 @@ class SamplerConfig:
         object.__setattr__(self, "weights", dict(self.weights))
 
 
-P = TypeVar("P")
-
-
 def sample_stream(
-    manifests: Sequence[tuple[Sequence[P], str]],
+    manifests: Sequence[tuple[Sequence[T], str]],
     config: SamplerConfig,
-) -> Iterator[P]:
+) -> Iterator[T]:
     """Yield pool elements forever: pick an origin by weight, then an
     element uniformly within its pool.
 
@@ -274,7 +328,7 @@ def sample_stream(
     The draws are those of numpy's ``Generator(PCG64(config.seed))`` over
     ``np.cumsum(weights / np.sum(weights))``, replayed without numpy.
     """
-    pools: dict[str, list[P]] = {}
+    pools: dict[str, list[T]] = {}
     for records, origin in manifests:
         pools.setdefault(origin, []).extend(records)
 
@@ -290,10 +344,13 @@ def sample_stream(
     cumulative = list(itertools.accumulate(w / total for _, w in active))
     rng = PCG64(config.seed)
 
-    def draws() -> Iterator[P]:
+    def draws() -> Iterator[T]:
+        random, integers = rng.random, rng.integers
+        sizes = [len(pool) for pool in chosen]
+        last = len(chosen) - 1
         while True:
-            pool = chosen[min(bisect_right(cumulative, rng.random()), len(chosen) - 1)]
-            yield pool[rng.integers(0, len(pool))]
+            k = min(bisect_right(cumulative, random()), last)
+            yield chosen[k][integers(0, sizes[k])]
 
     return draws()
 
@@ -302,18 +359,19 @@ def corpus_stats(path: str | Path) -> dict[str, Any]:
     """Summarize a manifest: totals, per-origin breakdown and a histogram
     of reduced-unit sequence lengths.
 
-    The manifest is read one record at a time and no record is kept.
+    The manifest is read one line at a time, and no record is kept, nor
+    built for a line the writer wrote.
     """
     origins: dict[str, dict[str, Any]] = {}
     histogram: dict[int, int] = {}
 
     def durations() -> Iterator[float]:
-        for r in iter_manifest(path):
-            bucket = origins.setdefault(r.origin, {"records": 0, "duration_s": 0.0})
+        for _, duration_s, n_units, origin in _iter_summaries(path):
+            bucket = origins.setdefault(origin, {"records": 0, "duration_s": 0.0})
             bucket["records"] += 1
-            bucket["duration_s"] += r.duration_s
-            histogram[len(r.target_units)] = histogram.get(len(r.target_units), 0) + 1
-            yield r.duration_s
+            bucket["duration_s"] += duration_s
+            histogram[n_units] = histogram.get(n_units, 0) + 1
+            yield duration_s
 
     # sum() itself consumes the stream: its float algorithm is not a running
     # "+=" (Python 3.12 compensates it), and the total must stay sum()'s

@@ -66,13 +66,14 @@ class FilterPolicy:
             raise ValueError("max_special_char_ratio must be in [0, 1]")
 
 
-_URL_RE = re.compile(r"(?i)(?:https?://|\bwww\.)")
-_BRACKET_SPANS = (
-    re.compile(r"\(.*?\)", re.DOTALL),
-    re.compile(r"\[.*?\]", re.DOTALL),
-    re.compile(r"\{.*?\}", re.DOTALL),
-)
+# Only h, H, w and W match (?i)h or (?i)w, so the lookahead skips every
+# other character before the case-insensitive alternatives are tried.
+_URL_RE = re.compile(r"(?i)(?=[hw])(?:https?://|\bwww\.)")
+_BRACKET_SPAN = re.compile(r"\(.*?\)|\[.*?\]|\{.*?\}", re.DOTALL)
 _COMMON_PUNCT = set(".,!?;:'\"-–—‘’“”…%¿¡")
+# A character that is neither str.isalnum(), str.isspace() nor common
+# punctuation: \w is isalnum() plus "_", and \s is isspace().
+_UNUSUAL_CHAR = re.compile(rf"[^\w\s{re.escape(''.join(sorted(_COMMON_PUNCT)))}]|_")
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,9 @@ def clean_sentence(sentence: str, policy: FilterPolicy | None = None) -> CleanRe
         return CleanResult(None, RejectReason.EMPTY)
     if _URL_RE.search(normalized):
         return CleanResult(None, RejectReason.URL)
-    if any(rx.search(normalized) for rx in _BRACKET_SPANS):
+    if _BRACKET_SPAN.search(normalized):
         return CleanResult(None, RejectReason.BRACKETED)
-    unusual = sum(
-        1
-        for ch in normalized
-        if not (ch.isalnum() or ch.isspace() or ch in _COMMON_PUNCT)
-    )
+    unusual = len(_UNUSUAL_CHAR.findall(normalized))
     if unusual / len(normalized) > policy.max_special_char_ratio:
         return CleanResult(None, RejectReason.SPECIAL_CHARS)
     return CleanResult(normalized, None)

@@ -7,6 +7,7 @@ import os
 import struct
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,43 @@ class TestAudioBuffer:
 
     def test_duration(self):
         assert AudioBuffer(np.zeros(8000), 16000).duration_seconds == 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=300
+        )
+    )
+    def test_float32_input_is_clipped_as_in_float64(self, values):
+        # a float32 input is checked and clipped without leaving float32;
+        # the bits are those of the float64 round trip, -0.0 included
+        x = np.array(values + [-0.0, 1.0, -1.0, 3.4e38, -1e-45], dtype=np.float32)
+        before = x.copy()
+        buf = AudioBuffer(x, 16000)
+        expected = np.clip(x.astype(np.float64), -1.0, 1.0).astype(np.float32)
+        assert buf.samples.dtype == np.float32
+        assert np.array_equal(buf.samples.view(np.uint32), expected.view(np.uint32))
+        # the caller's array is neither changed nor shared
+        assert np.array_equal(x.view(np.uint32), before.view(np.uint32))
+        assert not np.shares_memory(buf.samples, x)
+        assert not buf.samples.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float32_input_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            AudioBuffer(np.array([0.0, bad], dtype=np.float32), 16000)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int16, np.int64, ">f4"])
+    def test_other_dtypes_clip_before_the_cast(self, dtype):
+        # a huge finite float64 is clipped before it meets float32, so no
+        # overflow warning is raised; other dtypes go the same way
+        big = np.finfo(np.dtype(dtype)).max if np.dtype(dtype).kind == "f" else np.iinfo(dtype).max
+        x = np.array([big, -big, 0], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            buf = AudioBuffer(x, 16000)
+        assert buf.samples.dtype == np.float32
+        assert buf.samples.tolist() == [1.0, -1.0, 0.0]
 
 
 class TestResample:

@@ -1086,6 +1086,19 @@ class TestSample:
         ]) == 1
         assert capsys.readouterr() == ("", f"error: {reason}\n")
 
+    @pytest.mark.parametrize("weights,origin", [
+        ("real=0.5,real=0", "real"),
+        ("real=1,text_aug=1, text_aug =2", "text_aug"),
+        ("real=1,real=1", "real"),
+    ])
+    def test_an_origin_weighted_twice_is_a_usage_error(self, tmp_path, capsys, weights, origin):
+        real, aug = self.write_manifests(tmp_path)
+        assert main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--weights", weights, "-n", "3", "--seed", "1",
+        ]) == 1
+        assert capsys.readouterr() == ("", f"error: --weights names origin {origin!r} twice\n")
+
     @pytest.mark.parametrize("count", ["0", "1"])
     def test_weighted_empty_origin_is_refused_at_any_count(self, tmp_path, capsys, count):
         real, _ = self.write_manifests(tmp_path)

@@ -15,6 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechaug import (
     BuildOutcome,
@@ -42,7 +44,7 @@ from speechaug import (
     write_manifest,
 )
 
-from speechaug import textpipe
+from speechaug import manifest, textpipe
 
 from conftest import make_noise_bank
 
@@ -633,3 +635,132 @@ class TestCorpusStats:
         path = tmp_path / "m.jsonl"
         write_manifest([record()], path)
         json.dumps(corpus_stats(path))
+
+
+def outcome(parse, value):
+    """What ``parse(value)`` returns, or the type and text of its error."""
+    try:
+        return "ok", parse(value)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
+def summary_of_record(data):
+    r = ManifestRecord.from_dict(data)
+    return r.id, r.duration_s, len(r.target_units), r.origin
+
+
+# Units as the writer writes them, and as it never would: signs, "_",
+# non-ASCII digits, leading zeros, doubled spaces and numbers past 18 digits.
+unit_tokens = st.tuples(
+    st.sampled_from(["", "", "", "0", "00", "+", "-", "٣"]),
+    st.integers(0, 40) | st.sampled_from([10**17, 10**18 - 1, 10**18, 10**19]),
+).map(lambda t: f"{t[0]}{t[1]}")
+units_text = st.text(alphabet="0123456789 +-_٣", max_size=24) | st.tuples(
+    st.lists(unit_tokens, max_size=8), st.sampled_from([" ", " ", " ", "  ", "_", "\t"])
+).map(lambda t: t[1].join(t[0]))
+any_json = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.just([1])
+VALID_FIELDS = {
+    "id": st.sampled_from(["r1", "", "a b", "ü"]),
+    "source_audio": st.sampled_from(["audio/r1.wav", ""]),
+    "duration_s": st.floats() | st.integers(-2, 10**400) | st.sampled_from([0.5, 1e-300, 1e308]),
+    "target_units": units_text,
+    "origin": st.sampled_from(["real", "text_aug", "text_aug", "other", ""]),
+    "src_lang": st.sampled_from(["en", ""]),
+    "tgt_lang": st.sampled_from(["de", ""]),
+}
+
+
+@st.composite
+def record_values(draw):
+    """A JSON value for one manifest line: mostly a record dict, with up to
+    two fields of another type or missing, and now and then no dict at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(any_json)
+    data = {key: draw(strategy) for key, strategy in VALID_FIELDS.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(data)), max_size=2)):
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(any_json)
+    if draw(st.booleans()):
+        data["extra"] = draw(any_json)
+    return data
+
+
+def canonical_reduced(units: str) -> bool:
+    """Units written as the writer writes them, with no two neighbours equal."""
+    tokens = units.split(" ")
+    canonical = all(t.isascii() and t.isdigit() and len(t) <= 18 and str(int(t)) == t for t in tokens)
+    return canonical and not any(a == b for a, b in zip(tokens, tokens[1:]))
+
+
+class TestRecordSummary:
+    """``_summarize`` is what corpus_stats and sample read a record through."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=record_values())
+    def test_agrees_with_from_dict(self, data):
+        expected = outcome(summary_of_record, data)
+        got = outcome(manifest._summarize, data)
+        assert got == expected
+        if got[0] == "ok":
+            assert type(got[1][1]) is float
+
+    @settings(max_examples=600, deadline=None)
+    @given(units=units_text)
+    def test_canonical_units_are_exactly_the_writers_reduced_units(self, units):
+        accepted = manifest._CANONICAL_UNITS.fullmatch(units) is not None
+        assert accepted == canonical_reduced(units)
+        if accepted:
+            assert len(UnitSequence(units.split(), reduced=True)) == units.count(" ") + 1
+
+    @pytest.mark.parametrize("units", [(0,), (1, 0, 1), (5, 55, 5), (10**17, 3), tuple(range(60))])
+    def test_a_written_record_builds_no_record(self, monkeypatch, units):
+        data = json.loads(record("w", 2.25, units, "text_aug").to_json())
+
+        def refuse(cls, value):
+            raise AssertionError("from_dict called")
+
+        monkeypatch.setattr(ManifestRecord, "from_dict", classmethod(refuse))
+        assert manifest._summarize(data) == ("w", 2.25, len(units), "text_aug")
+
+    def test_a_unit_past_the_int_digit_limit_is_refused_as_from_dict_refuses_it(self):
+        data = json.loads(record().to_json())
+        data["target_units"] = "1 " + "7" * 5000
+        expected = outcome(summary_of_record, data)
+        assert outcome(manifest._summarize, data) == expected
+
+    @pytest.mark.parametrize("units", ["1 1", "01 1", "1 01", "3 4 4", "+2 2", "-1 2", "x"])
+    def test_corpus_stats_fails_as_iter_manifest_does(self, tmp_path, units):
+        path = tmp_path / "m.jsonl"
+        write_manifest([record("a"), record("b")], path)
+        bad = record("c").to_json().replace('"1 2 3"', json.dumps(units))
+        path.write_text(path.read_text() + "\n" + bad + "\n")
+        with pytest.raises(MalformedManifest) as by_records:
+            list(iter_manifest(path))
+        with pytest.raises(MalformedManifest) as by_stats:
+            corpus_stats(path)
+        assert by_stats.value.line_number == by_records.value.line_number == 5
+        assert str(by_stats.value) == str(by_records.value)
+
+
+LOADS_LINES = [
+    '{"a": 1}', ' {"a": 1}', '{"a": 1} ', '{"a": 1}\t', '\ufeff{"a": 1}', '{"a": 1} x',
+    '{"a": 1}{"b": 2}', "", " ", "nope", "NaN", "-Infinity", "[1, 2", '"\\ud800"', "1e400",
+    '{"a": [1, {"b": null}]}', '{"a": 1, "a": 2}', "{" * 50 + "}" * 50,
+]
+
+
+class TestLoads:
+    @pytest.mark.parametrize("line", LOADS_LINES)
+    def test_is_json_loads(self, line):
+        assert outcome(manifest._loads, line) == outcome(json.loads, line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(alphabet='{}[]":,0123456789.eE+- \tabnultrsfNIaiy\ufeff', max_size=30))
+    def test_is_json_loads_on_any_text(self, line):
+        expected = outcome(json.loads, line)
+        got = outcome(manifest._loads, line)
+        # NaN is the one value not equal to itself
+        assert got == expected or repr(got) == repr(expected)

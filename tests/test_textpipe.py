@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from itertools import groupby
 from pathlib import Path
 
@@ -71,6 +73,54 @@ class TestCleanSentence:
             second = clean_sentence(first.text)
             assert second.accepted
             assert second.text == first.text
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(alphabet="hHwWtTpPsSſK:/. ()[]{}_-%a1٣²é\u0301 \t\u00a0\u200b🙂“…", max_size=40),
+        st.sampled_from([0.0, 0.1, 0.2, 0.5]),
+    )
+    def test_matches_the_character_by_character_rules(self, text, ratio):
+        assert clean_sentence(text, FilterPolicy(max_special_char_ratio=ratio)) == reference_clean(text, ratio)
+
+
+def reference_clean(sentence: str, ratio: float) -> textpipe.CleanResult:
+    """clean_sentence as one search per rule and a count character by character."""
+    normalized = " ".join(sentence.split())
+    if not normalized:
+        return textpipe.CleanResult(None, RejectReason.EMPTY)
+    if re.search(r"(?i)(?:https?://|\bwww\.)", normalized):
+        return textpipe.CleanResult(None, RejectReason.URL)
+    if any(re.search(rx, normalized, re.DOTALL) for rx in (r"\(.*?\)", r"\[.*?\]", r"\{.*?\}")):
+        return textpipe.CleanResult(None, RejectReason.BRACKETED)
+    unusual = sum(
+        1 for ch in normalized if not (ch.isalnum() or ch.isspace() or ch in textpipe._COMMON_PUNCT)
+    )
+    if unusual / len(normalized) > ratio:
+        return textpipe.CleanResult(None, RejectReason.SPECIAL_CHARS)
+    return textpipe.CleanResult(normalized, None)
+
+
+def code_point_blocks():
+    """Every code point, surrogates included, in blocks of 65536."""
+    for start in range(0, sys.maxunicode + 1, 1 << 16):
+        yield "".join(map(chr, range(start, min(start + (1 << 16), sys.maxunicode + 1))))
+
+
+class TestCleanSentenceRegexes:
+    def test_unusual_char_is_the_isalnum_isspace_punct_rule_on_every_code_point(self):
+        for block in code_point_blocks():
+            expected = [
+                ch for ch in block if not (ch.isalnum() or ch.isspace() or ch in textpipe._COMMON_PUNCT)
+            ]
+            assert textpipe._UNUSUAL_CHAR.findall(block) == expected
+
+    def test_only_h_and_w_of_either_case_match_them_ignoring_case(self):
+        # the URL pattern's (?=[hw]) lookahead skips every other character
+        for letter in "hw":
+            matched = set()
+            for block in code_point_blocks():
+                matched.update(re.findall(f"(?i){letter}", block))
+            assert matched == {letter, letter.upper()}
 
 
 class TestFilterPolicy:
