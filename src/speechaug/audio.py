@@ -48,28 +48,40 @@ class AudioBuffer:
 
     The constructor rejects NaN/inf and clamps samples into [-1, 1], so a
     buffer that came out of any operation in this package is always safe to
-    hand to the next one.
+    hand to the next one. ``sample_rate`` must be a positive integer; an
+    integral float or numpy integer is taken as that int.
+
+    It allocates one float32 array of the signal's length, which it owns and
+    marks read-only; the caller's array is never written or shared. Only an
+    input neither float32 nor float64 is first converted to float64.
     """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self) -> None:
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        rate = self.sample_rate
+        try:
+            integral = int(rate) == rate
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral or int(rate) <= 0:
+            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        object.__setattr__(self, "sample_rate", int(rate))
         samples = np.asarray(self.samples)
-        # float32 is checked and clipped as it is, which is exact; any other
-        # dtype in float64, clipped before the cast so it cannot overflow
-        if samples.dtype != np.float32:
+        # float32 is checked and clipped as it is, which is exact; float64
+        # is clipped before the cast so it cannot overflow; any other dtype
+        # goes through float64
+        if samples.dtype not in (np.float32, np.float64):
             samples = np.asarray(samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional (mono)")
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples contain NaN or infinity")
-        samples = np.clip(samples, -1.0, 1.0).astype(np.float32, copy=False)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        clipped = np.empty(samples.shape, dtype=np.float32)
+        np.clip(samples, -1.0, 1.0, out=clipped)
+        clipped.setflags(write=False)
+        object.__setattr__(self, "samples", clipped)
 
     def __len__(self) -> int:
         return int(self.samples.shape[0])
@@ -88,13 +100,14 @@ class AudioBuffer:
         return len(self) / self.sample_rate
 
 
-def _decode_pcm16(payload: bytes) -> np.ndarray:
+def _decode_pcm16(payload: memoryview) -> np.ndarray:
     codes = np.frombuffer(payload, dtype="<i2")
     return codes.astype(np.float32) / PCM16_SCALE
 
 
-def _decode_float32(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<f4").astype(np.float32)
+def _decode_float32(payload: memoryview) -> np.ndarray:
+    # a read-only view of the file's bytes; AudioBuffer makes the one copy
+    return np.frombuffer(payload, dtype="<f4")
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
@@ -116,7 +129,7 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise MalformedWav(f"{path}: missing RIFF/WAVE header")
 
     fmt_fields: tuple[int, int, int, int] | None = None
-    payload: bytes | None = None
+    payload: memoryview | None = None
     offset = 12
     while offset + 8 <= len(data):
         chunk_id = data[offset : offset + 4]
@@ -134,7 +147,7 @@ def load_wav(path: str | Path) -> AudioBuffer:
         elif chunk_id == b"data":
             if fmt_fields is None:
                 raise MalformedWav(f"{path}: data chunk before fmt chunk")
-            payload = data[body_start : body_start + chunk_size]
+            payload = memoryview(data)[body_start : body_start + chunk_size]
             break
         # any other chunk is skipped; chunk bodies are word-aligned
         offset = body_start + chunk_size + (chunk_size & 1)
@@ -180,11 +193,14 @@ def save_wav(buffer: AudioBuffer, path: str | Path, encoding: str = "float32") -
     if len(buffer) == 0:
         raise EmptyAudio("refusing to write a WAV with no samples")
     if encoding == "pcm16":
-        codes = np.round(buffer.samples.astype(np.float64) * PCM16_SCALE)
-        payload = np.clip(codes, -32768, 32767).astype("<i2").tobytes()
+        codes = buffer.samples.astype(np.float64)
+        codes *= PCM16_SCALE
+        np.round(codes, out=codes)
+        payload = np.clip(codes, -32768, 32767, out=codes).astype("<i2")
         tag, bits = _WAVE_FORMAT_PCM, 16
     elif encoding == "float32":
-        payload = buffer.samples.astype("<f4").tobytes()
+        # the samples themselves where they are little-endian already
+        payload = buffer.samples.astype("<f4", copy=False)
         tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
@@ -195,9 +211,11 @@ def save_wav(buffer: AudioBuffer, path: str | Path, encoding: str = "float32") -
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         # non-PCM encodings carry a fact chunk with the frame count
         header += b"fact" + struct.pack("<II", 4, len(buffer))
-    header += b"data" + struct.pack("<I", len(payload))
+    header += b"data" + struct.pack("<I", payload.nbytes)
+    riff = b"RIFF" + struct.pack("<I", len(header) + payload.nbytes)
     try:
-        _write_file(path, b"RIFF" + struct.pack("<I", len(header) + len(payload)) + header + payload)
+        # the file's bytes are the one copy of the payload
+        _write_file(path, b"".join((riff, header, payload.data)))
     except OSError as err:
         raise IoFailure(f"could not write {path}: {err}") from err
 
@@ -258,7 +276,8 @@ def _kernel_series(cutoff: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
-    """Resample a float array by an arbitrary rate ratio (out/in).
+    """Resample a float array by an arbitrary rate ratio (out/in), into a new
+    float64 array; ``x`` is only read.
 
     Bandlimited interpolation after Smith
     (https://ccrma.stanford.edu/~jos/resample/): output sample ``j`` reads
@@ -278,8 +297,10 @@ def _resample_ratio(x: np.ndarray, ratio: float) -> np.ndarray:
 
     coef, coef_sum = _kernel_series(0.5 * min(1.0, ratio))
     # window w starts at input sample w - 31; zeros stand in for samples
-    # before the start and past the end
-    padded = np.concatenate([np.zeros(RESAMPLE_TAPS // 2 - 1), x, np.zeros(RESAMPLE_TAPS // 2)])
+    # before the start and past the end. The padding keeps x's dtype: a
+    # float32 input is widened, exactly, only as each block is copied
+    padded = np.zeros(n + RESAMPLE_TAPS - 1, dtype=x.dtype)
+    padded[RESAMPLE_TAPS // 2 - 1 : RESAMPLE_TAPS // 2 - 1 + n] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, RESAMPLE_TAPS)
     # one contiguous copy of a block's windows, for the BLAS product; it is
     # reused because a fresh array per block costs more in page faults than
@@ -303,12 +324,11 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Convert a buffer to ``target_rate``.
 
     Output length is round(len * target_rate / source_rate). Resampling to
-    the current rate returns an identical copy.
+    the current rate returns the buffer itself, which is immutable.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == buffer.sample_rate:
-        return AudioBuffer(buffer.samples, buffer.sample_rate)
-    x = buffer.samples.astype(np.float64)
-    y = _resample_ratio(x, target_rate / buffer.sample_rate)
+        return buffer
+    y = _resample_ratio(buffer.samples, target_rate / buffer.sample_rate)
     return AudioBuffer(y, target_rate)

@@ -323,7 +323,7 @@ def apply_chain(
         stages[pos] = StageTrace(index=pos + 1, kind=spec.kind, applied=applied, params=params)
 
     trace = AppliedTrace(utterance_id=utterance_id, stages=tuple(stages))  # type: ignore[arg-type]
-    return AudioBuffer(current.samples, current.sample_rate), trace
+    return current, trace
 
 
 def replay_trace(
@@ -354,4 +354,4 @@ def replay_trace(
             )
         with _stage(stage.index, stage.kind):
             current, _ = EFFECTS[stage.kind].apply(current, stage.params, bank)
-    return AudioBuffer(current.samples, current.sample_rate)
+    return current

@@ -58,6 +58,12 @@ EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 
 
+def _write_summary(text: str) -> None:
+    """A subcommand's summary on stdout, in one write: ``print`` makes two,
+    and unbuffered each is a system call."""
+    sys.stdout.write(text + "\n")
+
+
 class CliError(Exception):
     """A configuration or input problem; maps to exit code 1."""
 
@@ -123,7 +129,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     failures = [(p.name, o) for p, o in zip(files, outcomes) if isinstance(o, SpeechAugError)]
     _write_file(out_dir / "traces.jsonl", (t + "\n" for t in outcomes if isinstance(t, str)))
 
-    print(json.dumps({"processed": len(files) - len(failures), "failed": len(failures)}))
+    _write_summary(json.dumps({"processed": len(files) - len(failures), "failed": len(failures)}))
     if failures:
         for name, err in failures:
             log.error("failed: %s: %s", name, err)
@@ -190,7 +196,7 @@ def cmd_textaug(args: argparse.Namespace) -> int:
     finally:
         close()  # also after a failure; a second close does nothing
     _write_file(out_dir / "stats.json", [json.dumps(stats.to_dict(), indent=2) + "\n"])
-    print(json.dumps(stats.to_dict()))
+    _write_summary(json.dumps(stats.to_dict()))
     if stats.translator_failures:
         log.error("%d sentences failed translation", stats.translator_failures)
         return EXIT_PARTIAL
@@ -229,7 +235,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     finally:
         if hasattr(synthesizer, "close"):
             synthesizer.close()
-    print(str(outcome.manifest_path))
+    _write_summary(str(outcome.manifest_path))
     if outcome.failures:
         for pair_id, err in outcome.failures:
             log.error("failed: %s: %s", pair_id, err)
@@ -292,7 +298,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         summary = corpus_stats(args.manifest)
     except OSError as err:
         raise CliError(f"cannot read manifest: {err}") from err
-    print(json.dumps(summary, indent=2))
+    _write_summary(json.dumps(summary, indent=2))
     return EXIT_OK
 
 

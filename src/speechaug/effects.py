@@ -2,13 +2,16 @@
 
 Every function takes and returns AudioBuffer, preserves the sample rate
 (speed changes duration instead), and is deterministic given its inputs and,
-where one is accepted, its random generator.
+where one is accepted, its random generator. Each reads its inputs and
+computes in the arrays it allocates itself; a stage that does nothing
+returns its input buffer.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -36,6 +39,9 @@ _BUTTER4_Q = (0.5411961001461970, 1.3065629648763764)
 # on 0.5-3 s inputs 64 ran as fast as 48 and faster than 96 or 128.
 _LOWPASS_BLOCK = 64
 
+# Blocks whose end states the low-pass scan holds as Python floats at once.
+_SCAN_CHUNK = 256
+
 
 def _check_factor(factor: float) -> None:
     if not (SPEED_FACTOR_MIN <= factor <= SPEED_FACTOR_MAX):
@@ -52,8 +58,8 @@ def apply_speed(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     """
     _check_factor(factor)
     if factor == 1.0:
-        return AudioBuffer(buffer.samples, buffer.sample_rate)
-    y = _resample_ratio(buffer.samples.astype(np.float64), 1.0 / factor)
+        return buffer
+    y = _resample_ratio(buffer.samples, 1.0 / factor)
     return AudioBuffer(y, buffer.sample_rate)
 
 
@@ -112,7 +118,9 @@ def _stretch_to_length(x: np.ndarray, target_len: int, sample_rate: int) -> np.n
         out[p : p + frame] += x[a : a + frame] * window
         weight[p : p + frame] += window
         prev = a
-    return out[:target_len] / np.maximum(weight[:target_len], 1e-8)
+    y, w = out[:target_len], weight[:target_len]
+    np.maximum(w, 1e-8, out=w)
+    return np.divide(y, w, out=y)
 
 
 def apply_pitch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
@@ -123,8 +131,8 @@ def apply_pitch(buffer: AudioBuffer, factor: float) -> AudioBuffer:
     """
     _check_factor(factor)
     if factor == 1.0:
-        return AudioBuffer(buffer.samples, buffer.sample_rate)
-    shifted = _resample_ratio(buffer.samples.astype(np.float64), 1.0 / factor)
+        return buffer
+    shifted = _resample_ratio(buffer.samples, 1.0 / factor)
     y = _stretch_to_length(shifted, len(buffer), buffer.sample_rate)
     return AudioBuffer(y, buffer.sample_rate)
 
@@ -159,7 +167,8 @@ def _butter4_system(
 
 
 def _lowpass_samples(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.ndarray:
-    """4th-order Butterworth low-pass of a float64 array, from a zero state.
+    """4th-order Butterworth low-pass of a float array, from a zero state,
+    into a new float64 array; ``x`` is only read.
 
     Burrus's block realization ("Block realization of digital filters",
     IEEE Trans. Audio Electroacoust. AU-20(4), 1972) of ``_butter4_system``
@@ -174,7 +183,9 @@ def _lowpass_samples(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.nd
 
     The products over the signal are ``np.einsum`` calls without
     ``optimize``, run in numpy's own single-threaded loops; the 4 x 4
-    set-up products are too small for BLAS to split across threads.
+    set-up products are too small for BLAS to split across threads. Two
+    signal-length float64 arrays are allocated: the blocked input, which
+    takes the zero-input response once it has been read, and the output.
     """
     size = _LOWPASS_BLOCK
     a, b, c, d = _butter4_system(cutoff_hz, sample_rate)
@@ -197,23 +208,26 @@ def _lowpass_samples(x: np.ndarray, cutoff_hz: float, sample_rate: int) -> np.nd
     xb[: len(x)] = x
     xb = xb.reshape(blocks, size)
     y = np.einsum("bm,mi->bi", xb, toeplitz)
-    ends = np.einsum("bm,km->bk", xb, to_state).tolist()
+    ends = np.einsum("bm,km->bk", xb, to_state)
 
     # A is block lower triangular, so the upper-right 2 x 2 of A^L is exactly zero
     (r00, r01, _, _), (r10, r11, _, _), (r20, r21, r22, r23), (r30, r31, r32, r33) = (
         powers[size].tolist()
     )
+    # the end states become Python floats _SCAN_CHUNK blocks at a time, and
+    # the start states go straight into an array of C doubles
     s0 = s1 = s2 = s3 = 0.0
-    starts = []
-    for e0, e1, e2, e3 in ends:
-        starts.append((s0, s1, s2, s3))
-        s0, s1, s2, s3 = (
-            r00 * s0 + r01 * s1 + e0,
-            r10 * s0 + r11 * s1 + e1,
-            r20 * s0 + r21 * s1 + r22 * s2 + r23 * s3 + e2,
-            r30 * s0 + r31 * s1 + r32 * s2 + r33 * s3 + e3,
-        )
-    y += np.einsum("bk,ki->bi", np.array(starts).reshape(blocks, 4), zero_input)
+    starts = array("d")
+    for chunk in range(0, blocks, _SCAN_CHUNK):
+        for e0, e1, e2, e3 in ends[chunk : chunk + _SCAN_CHUNK].tolist():
+            starts.extend((s0, s1, s2, s3))
+            s0, s1, s2, s3 = (
+                r00 * s0 + r01 * s1 + e0,
+                r10 * s0 + r11 * s1 + e1,
+                r20 * s0 + r21 * s1 + r22 * s2 + r23 * s3 + e2,
+                r30 * s0 + r31 * s1 + r32 * s2 + r33 * s3 + e3,
+            )
+    y += np.einsum("bk,ki->bi", np.frombuffer(starts).reshape(blocks, 4), zero_input, out=xb)
     return y.reshape(-1)[: len(x)]
 
 
@@ -231,7 +245,7 @@ def apply_lowpass(buffer: AudioBuffer, cutoff_hz: float) -> AudioBuffer:
         raise CutoffAboveNyquist(
             f"cutoff {cutoff_hz} Hz outside (0, {buffer.sample_rate / 2}) Hz"
         )
-    y = _lowpass_samples(buffer.samples.astype(np.float64), cutoff_hz, buffer.sample_rate)
+    y = _lowpass_samples(buffer.samples, cutoff_hz, buffer.sample_rate)
     return AudioBuffer(y, buffer.sample_rate)
 
 
@@ -375,32 +389,42 @@ def mix_picks(
     at the signal's end; the picks sum into one aggregate track, which is
     scaled so the mixed SNR equals ``snr_db`` exactly, and the whole output
     is rescaled by 1/peak if the sum leaves [-1, 1]. A silent aggregate is
-    flagged degenerate and returns the input unchanged. Entries must
+    flagged degenerate and returns the input buffer itself. Entries must
     already sit at the signal's sample rate; an offset outside
     [0, len(buffer)) raises ValueError.
+
+    At most two float64 arrays of the signal's length are held at once:
+    the aggregate, scaled in place into the report's ``noise_track``, and
+    one scratch array, which takes the squares of the aggregate and of the
+    signal and is then let go, or the copy of the signal that takes the
+    mix. The output buffer adds its own float32 copy.
     """
-    signal = buffer.samples.astype(np.float64)
-    n = len(signal)
+    n = len(buffer)
     aggregate = np.zeros(n, dtype=np.float64)
     for entry, offset in picks:
         if not 0 <= offset < n:
             raise ValueError(f"noise entry {entry.id!r} offset {offset} outside [0, {n})")
         take = min(len(entry.buffer), n - offset)
-        aggregate[offset : offset + take] += entry.buffer.samples[:take].astype(np.float64)
+        aggregate[offset : offset + take] += entry.buffer.samples[:take]
     ids = tuple(entry.id for entry, _ in picks)
     offsets = tuple(offset for _, offset in picks)
-    p_noise = float(np.sum(aggregate * aggregate))
+    scratch = np.square(aggregate)
+    p_noise = float(np.sum(scratch))
     if p_noise == 0.0:
         report = MixReport(ids, offsets, snr_db, 0.0, 1.0, True, np.zeros(n))
-        return AudioBuffer(buffer.samples, buffer.sample_rate), report
-    p_signal = float(np.sum(signal * signal))
+        return buffer, report
+    p_signal = float(np.sum(np.square(buffer.samples, out=scratch, dtype=np.float64)))
+    del scratch
     gain = math.sqrt(p_signal / (p_noise * 10.0 ** (snr_db / 10.0)))
-    track = gain * aggregate
-    out = signal + track
-    peak = float(np.max(np.abs(out))) if n else 0.0
+    track = np.multiply(aggregate, gain, out=aggregate)
+    out = buffer.samples.astype(np.float64)
+    out += track
+    # the largest magnitude, without an array of magnitudes
+    peak = max(float(out.max()), -float(out.min()))
     scale = 1.0 / peak if peak > 1.0 else 1.0
     report = MixReport(ids, offsets, snr_db, gain, scale, False, track)
-    return AudioBuffer(out * scale, buffer.sample_rate), report
+    out *= scale
+    return AudioBuffer(out, buffer.sample_rate), report
 
 
 def mix_noise(

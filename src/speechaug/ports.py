@@ -133,7 +133,10 @@ class MockSynthesizer:
         codes = np.array([ord(ch) for ch in sentence], dtype=np.float64)
         freqs = 200.0 + 10.0 * np.mod(codes, 100.0)
         t = np.arange(segment, dtype=np.float64) / self.sample_rate
-        waves = 0.3 * np.sin(2.0 * math.pi * freqs[:, None] * t[None, :])
+        # one grid of phases, turned into the waves in place
+        waves = (2.0 * math.pi * freqs)[:, None] * t[None, :]
+        np.sin(waves, out=waves)
+        waves *= 0.3
         return AudioBuffer(waves.ravel(), self.sample_rate)
 
 
@@ -154,20 +157,21 @@ class MockUnitizer:
 
     def unitize(self, buffer: AudioBuffer) -> UnitSequence:
         hop = max(1, round(_MOCK_UNIT_HOP_S * buffer.sample_rate))
-        x = buffer.samples.astype(np.float64)
-        n = len(x)
+        n = len(buffer)
         if n == 0:
             return UnitSequence((), reduced=False)
+        # the squares, in float64, are the one signal-length array
+        squares = np.square(buffer.samples, dtype=np.float64)
         full = n // hop
         units: list[int] = []
         if full:
-            frames = x[: full * hop].reshape(full, hop)
-            rms = np.sqrt(np.mean(frames * frames, axis=1))
+            frames = squares[: full * hop].reshape(full, hop)
+            rms = np.sqrt(np.mean(frames, axis=1))
             k = self.vocabulary_size
             units.extend(int(u) for u in np.minimum(k - 1, (rms * k).astype(np.int64)))
-        tail = x[full * hop :]
+        tail = squares[full * hop :]
         if len(tail):
-            rms_tail = float(np.sqrt(np.mean(tail * tail)))
+            rms_tail = float(np.sqrt(np.mean(tail)))
             units.append(min(self.vocabulary_size - 1, int(rms_tail * self.vocabulary_size)))
         return UnitSequence(tuple(units), reduced=False)
 

@@ -222,6 +222,22 @@ class TestAudioBuffer:
         with pytest.raises(ValueError):
             AudioBuffer(np.zeros(4), 0)
 
+    @pytest.mark.parametrize(
+        "rate", [16000.5, 0.5, -16000, -1.0, math.nan, math.inf, np.float32(8000.25), "16000", None]
+    )
+    def test_rejects_a_rate_that_is_not_a_positive_integer(self, rate):
+        # 16000.5 used to become 16000 without a word
+        with pytest.raises(ValueError, match="positive integer"):
+            AudioBuffer(np.zeros(4), rate)
+
+    @pytest.mark.parametrize(
+        "rate", [16000, 16000.0, np.int64(16000), np.int16(16000), np.uint32(16000), np.float64(16000.0)]
+    )
+    def test_integral_rate_becomes_an_int(self, rate):
+        buf = AudioBuffer(np.zeros(4), rate)
+        assert buf.sample_rate == 16000
+        assert type(buf.sample_rate) is int
+
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.zeros((2, 2)), 16000)

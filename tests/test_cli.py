@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -1195,3 +1196,46 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+
+class RecordingStdout(io.StringIO):
+    """A stdout that counts its ``write`` calls: unbuffered, each is a
+    system call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def summary_args(tmp_path: Path, command: str) -> list[str]:
+    out = str(tmp_path / "out")
+    if command == "textaug":
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
+        return ["textaug", "--in", str(corpus), "--out", out, "--language", "en", "--to", "xx"]
+    if command == "augment":
+        write_input_wavs(tmp_path / "in")
+        config = write_identity_config(tmp_path / "chain.json")
+        return ["augment", "--in", str(tmp_path / "in"), "--out", out, "--seed", "7",
+                "--config", str(config)]
+    if command == "build":
+        pairs = TestBuild().write_pairs(tmp_path / "pairs.tsv")
+        return ["build", "--pairs", str(pairs), "--out", out, "--seed", "3", "--units-k", "50",
+                "--no-effects"]
+    manifest = tmp_path / "m.jsonl"
+    write_manifest([record("a", 2.0), record("b", 3.0)], manifest)
+    return ["stats", "--manifest", str(manifest)]
+
+
+@pytest.mark.parametrize("command", ["textaug", "augment", "build", "stats"])
+def test_summary_is_one_write(tmp_path, monkeypatch, command):
+    args = summary_args(tmp_path, command)
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(args) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().endswith("}\n" if command != "build" else "manifest.jsonl\n")

@@ -2,7 +2,9 @@
 
 Each digest is the sha256 of an output of the code as it was before the
 manifest commands learned to skip building records and ``clean_sentence``
-moved to single-pass regexes; any later change must keep these bytes.
+moved to single-pass regexes; the ``--take-n`` digests, of the code as it
+was before the DSP stages were rewritten to compute in arrays they own. Any
+later change must keep these bytes.
 
 numpy is not imported here, nor is conftest's fixtures module, so the CI job
 without numpy runs this file too. There the stats pin skips: from Python 3.12
@@ -80,6 +82,17 @@ TEXTAUG_PINS = {
         ["--min-tokens", "2", "--max-tokens", "20", "--max-length-ratio", "1.2"],
         "87f349da8960d663462103ec6b8752a31c5597b529b9ffd39328565df3feab9b",
         "bc99bef0212786af1bd05c35d4d5e9e1ba7a8d7ff0bb6a7e02f7eded27c57be6",
+    ),
+    # a seeded reservoir of 25 of the 40 lines, drawn by the plain-Python PCG64
+    "take-n-seed-1": (
+        ["--take-n", "25", "--seed", "1"],
+        "3b17ad9d8f73bb2f9fa45e06cab712e90f2c7eedca490a4beb4bfdf6437f7ee5",
+        "e70a75b1027895ea5ef6c8320cbf09ac81d1c5944063b212e5fd4d9970b732ea",
+    ),
+    "take-n-seed-2718": (
+        ["--take-n", "25", "--seed", "2718"],
+        "286fea7c248c6dbc4fc2c12cf6925e59c104432918e53b2d4f457fd2a7a6aec4",
+        "0c81746fe098423bcf65f7b06173a3bf3205882bd469f55ceba8f2ee08775411",
     ),
 }
 
