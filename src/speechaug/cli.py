@@ -16,9 +16,10 @@ import logging
 import shlex
 import sys
 from dataclasses import fields
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from ._pcg64 import PCG64
 from .audio import _write_file, load_wav, save_wav
@@ -138,28 +139,17 @@ def cmd_augment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _make_translator(spec: str):
-    if spec == "mock":
-        return MockTranslator(tag_output=True)
-    if spec == "mock-notag":
-        return MockTranslator(tag_output=False)
+def _make_port(kind: str, spec: str, engine: Callable[[list[str]], Any], mocks: dict[str, Any]):
+    """The translator or synthesizer ``spec`` names: one of ``mocks``, or
+    for ``subprocess:CMD`` the ``engine`` started on the command CMD."""
+    if spec in mocks:
+        return mocks[spec]
     if spec.startswith("subprocess:"):
         command = shlex.split(spec[len("subprocess:") :])
         if not command:
-            raise CliError("subprocess translator needs a command")
-        return SubprocessTranslator(command)
-    raise CliError(f"unknown translator {spec!r} (mock, mock-notag or subprocess:CMD)")
-
-
-def _make_synthesizer(spec: str, sample_rate: int):
-    if spec == "mock":
-        return MockSynthesizer(sample_rate=sample_rate)
-    if spec.startswith("subprocess:"):
-        command = shlex.split(spec[len("subprocess:") :])
-        if not command:
-            raise CliError("subprocess synthesizer needs a command")
-        return SubprocessSynthesizer(command, sample_rate=sample_rate)
-    raise CliError(f"unknown synthesizer {spec!r} (mock or subprocess:CMD)")
+            raise CliError(f"subprocess {kind} needs a command")
+        return engine(command)
+    raise CliError(f"unknown {kind} {spec!r} ({', '.join(mocks)} or subprocess:CMD)")
 
 
 def _policy_from_args(args: argparse.Namespace) -> FilterPolicy:
@@ -180,7 +170,10 @@ def cmd_textaug(args: argparse.Namespace) -> int:
     if args.take_n is not None:
         sentences = reservoir_take(sentences, args.take_n, PCG64(args.seed))
     policy = _policy_from_args(args)
-    translator = _make_translator(args.translator)
+    translator = _make_port(
+        "translator", args.translator, SubprocessTranslator,
+        {"mock": MockTranslator(tag_output=True), "mock-notag": MockTranslator(tag_output=False)},
+    )
     close = getattr(translator, "close", lambda: None)
     stats = RejectionStats()
 
@@ -215,7 +208,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     unused = args.no_effects or (args.no_augment_source and not args.augment_target)
     chain = None if unused else _load_chain_config(args)
     bank = _load_bank(args, chain)
-    synthesizer = _make_synthesizer(args.synthesizer, args.sample_rate)
+    synthesizer = _make_port(
+        "synthesizer", args.synthesizer,
+        partial(SubprocessSynthesizer, sample_rate=args.sample_rate),
+        {"mock": MockSynthesizer(sample_rate=args.sample_rate)},
+    )
+    close = getattr(synthesizer, "close", lambda: None)
     unitizer = MockUnitizer(vocabulary_size=args.units_k)
     try:
         outcome = build_manifest(
@@ -233,8 +231,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     finally:
-        if hasattr(synthesizer, "close"):
-            synthesizer.close()
+        close()
     _write_summary(str(outcome.manifest_path))
     if outcome.failures:
         for pair_id, err in outcome.failures:
@@ -362,14 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--units-k", type=_vocabulary_size, required=True, help="unit vocabulary size")
     p.add_argument("--sample-rate", type=_positive_int, default=16000)
     p.add_argument("--config", help="chain config JSON (default: the standard chain)")
-    p.add_argument("--no-effects", action="store_true", help="skip acoustic perturbation")
+    # --no-effects would leave --augment-target nothing to apply
+    effects = p.add_mutually_exclusive_group()
+    effects.add_argument("--no-effects", action="store_true", help="skip acoustic perturbation")
+    effects.add_argument("--augment-target", action="store_true")
     _add_noise_options(p)
     p.add_argument("--synthesizer", default="mock", help="mock or subprocess:CMD")
     p.add_argument("--src-lang", default="src")
     p.add_argument("--tgt-lang", default="tgt")
     p.add_argument("--origin", default="text_aug", choices=["real", "text_aug"])
     p.add_argument("--no-augment-source", action="store_true")
-    p.add_argument("--augment-target", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=1, help="worker threads")
     p.set_defaults(func=cmd_build)
 

@@ -64,8 +64,9 @@ def apply_speed(buffer: AudioBuffer, factor: float) -> AudioBuffer:
 
 
 def _wsola_frame_length(sample_rate: int) -> int:
-    # ~32 ms, rounded to a power of two so the 50%-overlap Hann windows
-    # sum to exactly one in steady state
+    # ~32 ms, rounded to a power of two so the 50%-overlap Hann windows sum
+    # to one within 4.4e-16 in steady state: _stretch_to_length relies on
+    # this and divides only its first hop by the window
     raw = max(64, int(sample_rate * 0.032))
     return 1 << int(round(math.log2(raw)))
 
@@ -81,20 +82,15 @@ def _stretch_to_length(x: np.ndarray, target_len: int, sample_rate: int) -> np.n
     back to linear interpolation.
     """
     n = len(x)
-    if target_len <= 0:
-        return np.zeros(0, dtype=np.float64)
     if n == target_len:
         return x.copy()
     frame = _wsola_frame_length(sample_rate)
     if n < frame or target_len < frame:
-        if n == 1:
-            return np.full(target_len, x[0], dtype=np.float64)
         return np.interp(
             np.linspace(0.0, n - 1.0, target_len), np.arange(n, dtype=np.float64), x
         )
 
     hop = frame // 2
-    overlap = hop
     tolerance = frame // 4
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     starts = range(0, target_len, hop)
@@ -102,7 +98,6 @@ def _stretch_to_length(x: np.ndarray, target_len: int, sample_rate: int) -> np.n
     span = n - frame
 
     out = np.zeros(target_len + frame, dtype=np.float64)
-    weight = np.zeros(target_len + frame, dtype=np.float64)
     prev = -1
     for p in starts:
         nominal = int(round(p * span / last_start))
@@ -111,16 +106,17 @@ def _stretch_to_length(x: np.ndarray, target_len: int, sample_rate: int) -> np.n
         if prev < 0 or hi <= lo:
             a = min(max(nominal, 0), span)
         else:
-            ideal = min(prev + hop, n - overlap)
+            ideal = min(prev + hop, n - hop)
             # scores[k] is the dot product of x[lo + k :] and x[ideal :] over the overlap
-            scores = np.correlate(x[lo : hi + overlap], x[ideal : ideal + overlap])
+            scores = np.correlate(x[lo : hi + hop], x[ideal : ideal + hop])
             a = lo + int(np.argmax(scores))
         out[p : p + frame] += x[a : a + frame] * window
-        weight[p : p + frame] += window
         prev = a
-    y, w = out[:target_len], weight[:target_len]
-    np.maximum(w, 1e-8, out=w)
-    return np.divide(y, w, out=y)
+    # past the first hop every sample lies under two frames, whose windows
+    # sum to one; the first hop lies under the first frame alone
+    y = out[:target_len]
+    y[:hop] /= np.maximum(window[:hop], 1e-8)
+    return y
 
 
 def apply_pitch(buffer: AudioBuffer, factor: float) -> AudioBuffer:

@@ -158,22 +158,14 @@ class MockUnitizer:
     def unitize(self, buffer: AudioBuffer) -> UnitSequence:
         hop = max(1, round(_MOCK_UNIT_HOP_S * buffer.sample_rate))
         n = len(buffer)
-        if n == 0:
-            return UnitSequence((), reduced=False)
-        # the squares, in float64, are the one signal-length array
+        # the squares, in float64, are the one signal-length array; each
+        # frame's sum is divided by its own length, the tail's included
         squares = np.square(buffer.samples, dtype=np.float64)
-        full = n // hop
-        units: list[int] = []
-        if full:
-            frames = squares[: full * hop].reshape(full, hop)
-            rms = np.sqrt(np.mean(frames, axis=1))
-            k = self.vocabulary_size
-            units.extend(int(u) for u in np.minimum(k - 1, (rms * k).astype(np.int64)))
-        tail = squares[full * hop :]
-        if len(tail):
-            rms_tail = float(np.sqrt(np.mean(tail)))
-            units.append(min(self.vocabulary_size - 1, int(rms_tail * self.vocabulary_size)))
-        return UnitSequence(tuple(units), reduced=False)
+        starts = np.arange(0, n, hop)
+        rms = np.sqrt(np.add.reduceat(squares, starts) / np.diff(starts, append=n))
+        k = self.vocabulary_size
+        units = np.minimum(k - 1, (rms * k).astype(np.int64))
+        return UnitSequence(units.tolist(), reduced=False)
 
 
 T = TypeVar("T")

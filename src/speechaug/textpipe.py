@@ -114,14 +114,18 @@ def clean_sentence(sentence: str, policy: FilterPolicy | None = None) -> CleanRe
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # What would split a field of a pairs TSV line.
 _TSV_BREAKS = re.compile(f"[\t{re.escape(_LINE_BREAKS)}]")
+# What a pair id, one plain file-name component, may not hold.
+_ID_FORBIDDEN = re.compile(r"[/\\\x00]")
 
 
 @dataclass(frozen=True)
 class TextPair:
     """One parallel sentence pair with a stable id.
 
-    No field may hold a tab or a line break, so every pair is one line of
-    a pairs TSV.
+    The id names the file ``audio/<id>.wav``, so it must be one plain
+    file-name component: not empty, ``.`` or ``..``, and free of ``/``,
+    ``\\`` and NUL. No field may hold a tab or a line break, so every pair
+    is one line of a pairs TSV.
     """
 
     id: str
@@ -129,6 +133,8 @@ class TextPair:
     target: str
 
     def __post_init__(self) -> None:
+        if self.id in ("", ".", "..") or _ID_FORBIDDEN.search(self.id):
+            raise ValueError(f"pair id {self.id!r} is not a plain file name")
         if not self.source or not self.target:
             raise ValueError(f"pair {self.id!r} has an empty side")
         if _TSV_BREAKS.search(f"{self.id} {self.source} {self.target}"):
@@ -350,17 +356,12 @@ def write_pairs_tsv(pairs: Iterable[TextPair], path: str | Path) -> None:
     _write_file(path, (f"{p.id}\t{p.source}\t{p.target}\n" for p in pairs))
 
 
-# A pair id names the file audio/<id>.wav, so it must be one plain file-name
-# component: not empty, "." or "..", and free of separators and NUL.
-_ID_FORBIDDEN = re.compile(r"[/\\\x00]")
-
-
 def read_pairs_tsv(path: str | Path) -> list[TextPair]:
     """Parse ``id<TAB>source<TAB>target`` lines; blank lines are skipped.
 
-    Raises ValueError on a malformed line, on an id that is not one plain
-    file-name component (empty, ``.``, ``..``, or holding ``/``, ``\\`` or
-    NUL) and on an id used twice, since each id names one output file.
+    Raises ValueError, naming the file and line, on a malformed line, on a
+    line that is no ``TextPair`` (such as an id that is not a plain file
+    name) and on an id used twice, since each id names one output file.
     """
     pairs = []
     first_line: dict[str, int] = {}
@@ -371,12 +372,13 @@ def read_pairs_tsv(path: str | Path) -> list[TextPair]:
         if len(parts) != 3:
             raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
         pair_id = parts[0]
-        if pair_id in ("", ".", "..") or _ID_FORBIDDEN.search(pair_id):
-            raise ValueError(f"{path}:{line_no}: pair id {pair_id!r} is not a plain file name")
         if pair_id in first_line:
             raise ValueError(
                 f"{path}:{line_no}: pair id {pair_id!r} already used on line {first_line[pair_id]}"
             )
         first_line[pair_id] = line_no
-        pairs.append(TextPair(id=pair_id, source=parts[1], target=parts[2]))
+        try:
+            pairs.append(TextPair(id=pair_id, source=parts[1], target=parts[2]))
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from err
     return pairs

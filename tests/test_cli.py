@@ -809,6 +809,19 @@ class TestBuild:
         assert err.startswith(f"error: cannot start {missing}: ")
         assert not (tmp_path / "out").exists()
 
+    def test_no_effects_with_augment_target_is_a_usage_error(self, tmp_path, capsys):
+        pairs = self.write_pairs(tmp_path / "pairs.tsv")
+        started = tmp_path / "engine_started"
+        engine = shlex.join([sys.executable, "-c", f"open({str(started)!r}, 'w')"])
+        code = main([
+            "build", "--pairs", str(pairs), "--out", str(tmp_path / "out"),
+            "--seed", "3", "--units-k", "50", "--no-effects", "--augment-target",
+            "--synthesizer", f"subprocess:{engine}",
+        ])
+        assert code == 1
+        assert "--augment-target: not allowed with argument --no-effects" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]
+
     def test_missing_pairs_file(self, tmp_path):
         assert main([
             "build", "--pairs", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "out"),

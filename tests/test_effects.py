@@ -76,6 +76,46 @@ class TestSpeed:
         assert np.all(np.isfinite(out.samples))
 
 
+def accumulated_weight_stretch(x: np.ndarray, target_len: int, sample_rate: int) -> np.ndarray:
+    """WSOLA as it normalized before: every frame adds its window to a
+    signal-length weight array, and the whole output is divided by it."""
+    n = len(x)
+    if target_len <= 0:
+        return np.zeros(0, dtype=np.float64)
+    if n == target_len:
+        return x.copy()
+    frame = effects._wsola_frame_length(sample_rate)
+    if n < frame or target_len < frame:
+        if n == 1:
+            return np.full(target_len, x[0], dtype=np.float64)
+        return np.interp(
+            np.linspace(0.0, n - 1.0, target_len), np.arange(n, dtype=np.float64), x
+        )
+    hop = frame // 2
+    tolerance = frame // 4
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
+    starts = range(0, target_len, hop)
+    last_start = max(1, (len(starts) - 1) * hop)
+    span = n - frame
+    out = np.zeros(target_len + frame, dtype=np.float64)
+    weight = np.zeros(target_len + frame, dtype=np.float64)
+    prev = -1
+    for p in starts:
+        nominal = int(round(p * span / last_start))
+        lo = max(0, nominal - tolerance)
+        hi = min(span, nominal + tolerance)
+        if prev < 0 or hi <= lo:
+            a = min(max(nominal, 0), span)
+        else:
+            ideal = min(prev + hop, n - hop)
+            scores = np.correlate(x[lo : hi + hop], x[ideal : ideal + hop])
+            a = lo + int(np.argmax(scores))
+        out[p : p + frame] += x[a : a + frame] * window
+        weight[p : p + frame] += window
+        prev = a
+    return out[:target_len] / np.maximum(weight[:target_len], 1e-8)
+
+
 class TestPitch:
     def test_identity_factor(self):
         buf = make_sine(440.0, 0.5, 16000)
@@ -99,6 +139,24 @@ class TestPitch:
         out = apply_pitch(buf, 1.05)
         assert abs(len(out) - 50) <= 1
         assert np.all(np.isfinite(out.samples))
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100, 48000])
+    def test_matches_accumulated_weight_reference(self, rate):
+        gen = np.random.default_rng(rate)
+        frame = effects._wsola_frame_length(rate)
+        for n in (1, 2, 37, frame - 1, frame, frame + 3, rate // 3, rate + 11):
+            t = np.arange(n) / rate
+            x = 0.4 * np.sin(2.0 * math.pi * gen.uniform(80.0, 900.0) * t)
+            x += 0.1 * gen.standard_normal(n)
+            for factor in (0.5, gen.uniform(0.5, 1.0), gen.uniform(1.0, 2.0), 2.0):
+                shifted = effects._resample_ratio(AudioBuffer(x, rate).samples, 1.0 / factor)
+                expected = accumulated_weight_stretch(shifted, n, rate)
+                got = effects._stretch_to_length(shifted, n, rate)
+                # the windows sum to one within 4.4e-16, so only the last
+                # float64 bits may move, and no float32 output byte
+                np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(np.float64).eps, atol=0)
+                out = apply_pitch(AudioBuffer(x, rate), factor)
+                assert out.samples.tobytes() == AudioBuffer(expected, rate).samples.tobytes()
 
 
 def direct_form_lowpass(x: np.ndarray, cutoff_hz: float, rate: int) -> np.ndarray:

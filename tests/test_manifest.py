@@ -471,6 +471,15 @@ class TestBuildManifest:
         )
         assert outcome.records[0].origin == "real"
 
+    @pytest.mark.parametrize("pair_id", ["../escaped", "a\x00b"])
+    def test_a_pair_id_that_is_no_plain_file_name_writes_nothing(self, tmp_path, pair_id):
+        with pytest.raises(ValueError, match="is not a plain file name"):
+            build_manifest(
+                [TextPair(pair_id, "hello there", "good day")], MockSynthesizer(), MockUnitizer(8),
+                tmp_path / "out",
+            )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSamplerConfig:
     def test_rejects_empty_weights(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
+import math
 import os
 import pickle
 import signal
@@ -196,8 +197,7 @@ class TestMockUnitizer:
         assert seq.units == (3, 3)
 
     def test_empty_buffer_rejected_upstream(self):
-        # AudioBuffer itself refuses empty signals, so the unitizer never
-        # sees one through normal use; cover its guard via a 1-sample buffer
+        # one sample is one partial frame, measured on that sample alone
         buf = AudioBuffer(np.array([0.12]), 16000)
         seq = MockUnitizer(vocabulary_size=10).unitize(buf)
         assert seq.units == (1,)
@@ -207,6 +207,27 @@ class TestMockUnitizer:
         k = 25
         seq = MockUnitizer(vocabulary_size=k).unitize(buf)
         assert all(0 <= u < k for u in seq.units)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate=st.sampled_from([7, 50, 8000, 16000, 22050, 44100]),
+        k=st.integers(2, 499),
+        data=st.data(),
+    )
+    def test_matches_per_frame_reference(self, rate, k, data):
+        hop = max(1, round(0.02 * rate))
+        edges = st.sampled_from([0, 1, hop - 1, hop, hop + 1])
+        n = data.draw(st.one_of(edges, st.integers(0, 4 * hop)))
+        level = data.draw(st.floats(0.0, 1.0))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        buf = AudioBuffer(level * gen.uniform(-1.0, 1.0, n), rate)
+        expected = []
+        for start in range(0, n, hop):
+            # the tail is measured on its own samples; float32 squares are exact in float64
+            frame = [float(v) for v in buf.samples[start : start + hop]]
+            rms = math.sqrt(math.fsum(v * v for v in frame) / len(frame))
+            expected.append(min(k - 1, int(rms * k)))
+        assert MockUnitizer(vocabulary_size=k).unitize(buf).units == tuple(expected)
 
     def test_rejects_tiny_vocabulary(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import posixpath
 import re
 import sys
 from itertools import groupby
@@ -393,6 +394,17 @@ class TestPairsTsv:
         fields[field] = f"x{char}y"
         with pytest.raises(ValueError, match="holds a tab or a line break"):
             TextPair(**fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(st.sampled_from("./\\\x00a"))))
+    def test_every_pair_id_names_a_file_directly_inside_audio(self, pair_id):
+        try:
+            pair = TextPair(id=pair_id, source="a", target="b")
+        except ValueError:
+            return
+        name = f"{pair.id}.wav"
+        assert posixpath.split(posixpath.normpath(posixpath.join("audio", name))) == ("audio", name)
+        assert "\\" not in name and "\x00" not in name
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(min_size=1), st.text(min_size=1))

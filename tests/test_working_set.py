@@ -69,7 +69,7 @@ STAGES = {
     "resample_up": (lambda inp: resample(inp.buf, 22050), 3.0),
     "resample_down": (lambda inp: resample(inp.buf, 8000), 3.3),
     "apply_speed": (lambda inp: apply_speed(inp.buf, 0.9), 2.9),
-    "apply_pitch": (lambda inp: apply_pitch(inp.buf, 0.9), 3.4),
+    "apply_pitch": (lambda inp: apply_pitch(inp.buf, 0.9), 2.9),
     "apply_lowpass": (lambda inp: apply_lowpass(inp.buf, 3000.0), 2.5),
     "mix_picks": (lambda inp: mix_picks(inp.buf, picks(inp.entries), 10.0), 2.85),
     "synthesize": (lambda inp: MockSynthesizer(RATE).synthesize(SENTENCE, "en"), 1.6),
