@@ -118,8 +118,9 @@ def load_wav(path: str | Path) -> AudioBuffer:
     ``fmt `` and ``data`` are skipped. PCM16 samples are scaled by 1/32768.
 
     Raises IoFailure when the file cannot be read, MalformedWav for
-    container damage, UnsupportedEncoding for valid containers in encodings
-    we do not decode, and EmptyAudio for a zero-length data payload.
+    container damage or a NaN or infinite float sample, UnsupportedEncoding
+    for valid containers in encodings we do not decode, and EmptyAudio for a
+    zero-length data payload.
     """
     try:
         data = Path(path).read_bytes()
@@ -179,8 +180,14 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
     samples = decode(payload)
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1, dtype=np.float64)
-    return AudioBuffer(samples, rate)
+        # a frame of +inf and -inf averages to NaN, refused below
+        with np.errstate(invalid="ignore"):
+            samples = samples.reshape(-1, 2).mean(axis=1, dtype=np.float64)
+    try:
+        return AudioBuffer(samples, rate)
+    except ValueError as err:
+        # the checks above leave a NaN or infinite sample as the one cause
+        raise MalformedWav(f"{path}: {err}") from err
 
 
 def save_wav(buffer: AudioBuffer, path: str | Path, encoding: str = "float32") -> None:

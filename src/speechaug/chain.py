@@ -57,6 +57,38 @@ class EffectSpec:
             raise ValueError(f"max_segments must be at least 1, got {self.max_segments}")
 
 
+def _typed(value: Any, name: str, allowed: tuple[type, ...]) -> Any:
+    """``value`` when it is an instance of one of ``allowed``, a bool only
+    of bool (JSON true is no number); else a ValueError naming the field."""
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        expected = " or ".join(t.__name__ for t in allowed)
+        raise ValueError(f"{name} must be {expected}, not {type(value).__name__}")
+    return value
+
+
+def _fields(
+    data: Any, where: str, types: Mapping[str, tuple[type, ...]], **defaults: Any
+) -> dict[str, Any]:
+    """The fields of a JSON object that ``types`` names, each ``_typed``,
+    with ``defaults`` standing in for those missing; the object is named
+    ``where``, and a field ``where.key``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{where or 'the value'} must be an object, not {type(data).__name__}")
+    fields = {}
+    for key, allowed in types.items():
+        name = f"{where}.{key}" if where else key
+        if key not in data and key not in defaults:
+            raise ValueError(f"{name} is missing")
+        fields[key] = _typed(data.get(key, defaults.get(key)), name, allowed)
+    return fields
+
+
+# The JSON types of the fields of an EffectSpec, and of a StageTrace.
+_NUMBER = (int, float)
+_SPEC_FIELDS = {"kind": (str,), "probability": _NUMBER, "param_range": (list,), "max_segments": (int,)}
+_STAGE_FIELDS = {"index": (int,), "kind": (str,), "applied": (bool,), "params": (dict,)}
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """An immutable chain description plus the seed all utterances derive from."""
@@ -85,23 +117,26 @@ class ChainConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChainConfig":
-        try:
-            specs = tuple(
-                EffectSpec(
-                    kind=entry["kind"],
-                    probability=float(entry["probability"]),
-                    param_range=(
-                        float(entry["param_range"][0]),
-                        float(entry["param_range"][1]),
-                    ),
-                    max_segments=int(entry.get("max_segments", 4)),
-                )
-                for entry in data["specs"]
+        """The config of a ``to_dict`` value. Each field must have a JSON type
+        ``to_dict`` can write, any number where it writes a float; anything
+        else is a ValueError that names the field, as is a spec it refuses."""
+        top = _fields(data, "", {"specs": (list,), "global_seed": (int,)}, global_seed=0)
+        specs = []
+        for i, entry in enumerate(top["specs"]):
+            where = f"specs[{i}]"
+            spec = _fields(entry, where, _SPEC_FIELDS, max_segments=4)
+            bounds = spec["param_range"]
+            if len(bounds) != 2:
+                raise ValueError(f"{where}.param_range must hold two numbers, not {len(bounds)}")
+            spec["param_range"] = tuple(
+                _typed(x, f"{where}.param_range[{j}]", _NUMBER) for j, x in enumerate(bounds)
             )
-            seed = int(data.get("global_seed", 0))
-        except (KeyError, TypeError, IndexError) as err:
-            raise ValueError(f"malformed chain config: {err}") from err
-        return cls(specs=specs, global_seed=seed)
+            spec["probability"] = float(spec["probability"])
+            try:
+                specs.append(EffectSpec(**spec))
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+        return cls(specs=tuple(specs), global_seed=top["global_seed"])
 
 
 def save_chain(config: ChainConfig, path: str | Path) -> None:
@@ -158,15 +193,13 @@ class AppliedTrace:
 
     @classmethod
     def from_json(cls, line: str) -> "AppliedTrace":
-        data = json.loads(line)
+        """The trace ``to_json`` wrote as ``line``. Each field must have the
+        JSON type ``to_json`` writes; anything else is a ValueError that
+        names the field."""
+        data = _fields(json.loads(line), "", {"utterance_id": (str,), "stages": (list,)})
         stages = tuple(
-            StageTrace(
-                index=int(s["index"]),
-                kind=s["kind"],
-                applied=bool(s["applied"]),
-                params=dict(s["params"]),
-            )
-            for s in data["stages"]
+            StageTrace(**_fields(stage, f"stages[{i}]", _STAGE_FIELDS))
+            for i, stage in enumerate(data["stages"])
         )
         return cls(utterance_id=data["utterance_id"], stages=stages)
 

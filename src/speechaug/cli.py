@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator
 
 from ._pcg64 import PCG64
 from .audio import _write_file, load_wav, save_wav
-from .chain import ChainConfig, apply_chain, default_chain, load_chain, needs_bank
+from .chain import AppliedTrace, ChainConfig, apply_chain, default_chain, load_chain, needs_bank
 from .effects import NoiseBank
 from .errors import SpeechAugError
 from .manifest import (
@@ -39,7 +39,7 @@ from .ports import (
     MockUnitizer,
     SubprocessSynthesizer,
     SubprocessTranslator,
-    ordered_map,
+    map_to_index,
 )
 from .textpipe import (
     FilterPolicy,
@@ -120,23 +120,25 @@ def cmd_augment(args: argparse.Namespace) -> int:
     bank = _load_bank(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def process(path: Path) -> str:
+    def process(path: Path) -> AppliedTrace:
         out, trace = apply_chain(config, load_wav(path), path.stem, bank)
         save_wav(out, out_dir / path.name, encoding="float32")
-        return trace.to_json()
+        return trace
 
     # each item is a pure function of its path, the chain and the bank
-    outcomes = list(ordered_map(process, files, args.workers, processes=True))
-    failures = [(p.name, o) for p, o in zip(files, outcomes) if isinstance(o, SpeechAugError)]
-    _write_file(out_dir / "traces.jsonl", (t + "\n" for t in outcomes if isinstance(t, str)))
+    traces, failures = map_to_index(
+        process, files, args.workers, out_dir / "traces.jsonl", processes=True
+    )
+    _write_summary(json.dumps({"processed": len(traces), "failed": len(failures)}))
+    return _report_failures([(path.name, err) for path, err in failures], len(files), "files")
 
-    _write_summary(json.dumps({"processed": len(files) - len(failures), "failed": len(failures)}))
+
+def _report_failures(failures: list[tuple[str, SpeechAugError]], total: int, noun: str) -> int:
+    for name, err in failures:
+        log.error("failed: %s: %s", name, err)
     if failures:
-        for name, err in failures:
-            log.error("failed: %s: %s", name, err)
-        log.error("%d of %d files failed", len(failures), len(files))
-        return EXIT_PARTIAL
-    return EXIT_OK
+        log.error("%d of %d %s failed", len(failures), total, noun)
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def _make_port(kind: str, spec: str, engine: Callable[[list[str]], Any], mocks: dict[str, Any]):
@@ -233,11 +235,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     finally:
         close()
     _write_summary(str(outcome.manifest_path))
-    if outcome.failures:
-        for pair_id, err in outcome.failures:
-            log.error("failed: %s: %s", pair_id, err)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _report_failures(outcome.failures, len(pairs), "pairs")
 
 
 def _parse_weights(text: str) -> dict[str, float]:

@@ -25,7 +25,7 @@ from .audio import _write_file, save_wav
 from .chain import ChainConfig, apply_chain
 from .effects import NoiseBank
 from .errors import EmptyCorpus, MalformedManifest, MalformedText, SpeechAugError
-from .ports import SynthesizerPort, UnitizerPort, UnitSequence, ordered_map, reduce_units
+from .ports import SynthesizerPort, UnitizerPort, UnitSequence, map_to_index, reduce_units
 from .textpipe import TextPair, iter_lines
 
 MANIFEST_SCHEMA = "speechaug-manifest-v1"
@@ -115,10 +115,14 @@ class ManifestRecord:
         )
 
 
+# The first line of every manifest.
+_HEADER = json.dumps({"schema": MANIFEST_SCHEMA}) + "\n"
+
+
 def write_manifest(records: Sequence[ManifestRecord], path: str | Path) -> None:
     """Write the header line followed by one JSON line per record."""
     lines = (record.to_json() + "\n" for record in records)
-    _write_file(path, itertools.chain([json.dumps({"schema": MANIFEST_SCHEMA}) + "\n"], lines))
+    _write_file(path, itertools.chain([_HEADER], lines))
 
 
 T = TypeVar("T")
@@ -235,7 +239,8 @@ def build_manifest(
     (when one is given; the chain is seeded per record id, so worker count
     and ordering cannot change any output), and written to
     ``out_dir/audio/<id>.wav``; the target sentence is spoken and collapsed
-    into reduced units. Records land in the manifest in pair order.
+    into reduced units. Records are written to the manifest in pair order,
+    as they are done.
 
     Any ``SpeechAugError`` raised while one pair is processed (a port
     failure, an effect failure, a write failure) makes that pair a failure:
@@ -268,12 +273,9 @@ def build_manifest(
             tgt_lang=tgt_lang,
         )
 
-    outcomes = list(ordered_map(build_one, pairs, workers))
-    records = [o for o in outcomes if not isinstance(o, SpeechAugError)]
-    failures = [(p.id, o) for p, o in zip(pairs, outcomes) if isinstance(o, SpeechAugError)]
     manifest_path = out_path / "manifest.jsonl"
-    write_manifest(records, manifest_path)
-    return BuildOutcome(manifest_path=manifest_path, records=records, failures=failures)
+    records, failures = map_to_index(build_one, pairs, workers, manifest_path, header=_HEADER)
+    return BuildOutcome(manifest_path, records, [(pair.id, err) for pair, err in failures])
 
 
 def _float64_sum(values: Sequence[float]) -> float:

@@ -25,7 +25,7 @@ from itertools import chain, groupby, islice
 from typing import BinaryIO, Protocol, TypeVar, runtime_checkable
 
 from ._numpy import np
-from .audio import AudioBuffer, load_wav, resample
+from .audio import AudioBuffer, _write_file, load_wav, resample
 from .errors import EmptyText, IoFailure, MockRejected, PortError, SpeechAugError, WorkerDied
 
 
@@ -278,6 +278,32 @@ def ordered_map(
             # what a child that died left unread is dropped
             with contextlib.suppress(BrokenPipeError):
                 tasks.close()
+
+
+def map_to_index(
+    fn: Callable[[T], R], items: Sequence[T], workers: int, path: str | os.PathLike[str],
+    *, header: str = "", processes: bool = False,
+) -> tuple[list[R], list[tuple[T, SpeechAugError]]]:
+    """``ordered_map(fn, items, workers, processes=processes)``, writing ``header``
+    and then each result's ``to_json()`` line to ``path`` through ``_write_file``, in
+    input order as they come; the results and ``(item, error)`` failures, in input order."""
+    results: list[R] = []
+    failures: list[tuple[T, SpeechAugError]] = []
+
+    def lines(outcomes: Iterator[R | SpeechAugError]) -> Iterator[str]:
+        yield header
+        # items is read a second time here, so it must be a sequence
+        for item, outcome in zip(items, outcomes):
+            if isinstance(outcome, SpeechAugError):
+                failures.append((item, outcome))
+            else:
+                results.append(outcome)
+                yield outcome.to_json() + "\n"  # type: ignore[attr-defined]
+
+    # a failed write also stops the workers, before its error goes on
+    with contextlib.closing(ordered_map(fn, items, workers, processes=processes)) as outcomes:
+        _write_file(path, lines(outcomes))
+    return results, failures
 
 
 def _send(pipe: BinaryIO, message: object) -> None:

@@ -161,6 +161,28 @@ class TestLoadWav:
         with pytest.raises(EmptyAudio):
             load_wav(path)
 
+    @pytest.mark.parametrize(
+        "values, channels",
+        [
+            pytest.param([0.25, math.nan, -0.5], 1, id="nan"),
+            pytest.param([math.inf], 1, id="inf"),
+            pytest.param([0.25, -math.inf], 1, id="minus-inf"),
+            pytest.param([0.1, math.nan, 0.2, 0.3], 2, id="stereo-nan"),
+            # the one frame averages to NaN
+            pytest.param([0.1, 0.2, math.inf, -math.inf], 2, id="stereo-inf-and-minus-inf"),
+        ],
+    )
+    def test_non_finite_float_sample_is_malformed(self, tmp_path, values, channels):
+        path = tmp_path / "nonfinite.wav"
+        payload = np.array(values, dtype="<f4").tobytes()
+        path.write_bytes(wav_bytes(payload, fmt_tag=3, channels=channels, bits=32))
+        with warnings.catch_warnings():
+            # nor does the downmix warn of the invalid sum
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedWav) as caught:
+                load_wav(path)
+        assert str(caught.value) == f"{path}: samples contain NaN or infinity"
+
 
 class TestSaveWav:
     def test_pcm16_full_scale_does_not_wrap(self, tmp_path):

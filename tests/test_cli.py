@@ -30,6 +30,7 @@ from speechaug.chain import apply_chain
 from speechaug.cli import main
 
 from conftest import make_sine
+from test_audio import wav_bytes
 from test_manifest import record
 from test_ports import assert_reaped
 
@@ -67,6 +68,14 @@ def write_noise_dir(directory: Path, count: int = 3) -> Path:
         buf = AudioBuffer(gen.normal(0.0, 0.1, 8000), 16000)
         save_wav(buf, directory / f"noise{i}.wav", encoding="float32")
     return directory
+
+
+def write_non_finite_wav(path: Path) -> Path:
+    """A float32 WAV of a 0.2 s tone with one NaN sample."""
+    samples = make_sine(500.0, 0.2, 16000).samples.copy()
+    samples[100] = np.nan
+    path.write_bytes(wav_bytes(samples.astype("<f4").tobytes(), fmt_tag=3, bits=32))
+    return path
 
 
 def dir_bytes(directory: Path) -> dict[str, bytes]:
@@ -231,6 +240,22 @@ class TestAugment:
             "--seed", "1", "--config", str(bad),
         ]) == 1
 
+    def test_config_value_of_the_wrong_type_is_one_error_line(self, tmp_path, capsys):
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir)
+        config = json.loads(write_identity_config(tmp_path / "chain.json").read_text())
+        config["specs"][0]["probability"] = True
+        (tmp_path / "chain.json").write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert main([
+            "augment", "--in", str(in_dir), "--out", str(out_dir),
+            "--seed", "1", "--config", str(tmp_path / "chain.json"),
+        ]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot load chain config: specs[0].probability must be int or float, not bool"
+        ]
+        assert not out_dir.exists()
+
     def test_worker_count_does_not_change_failures(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         in_dir = tmp_path / "in"
@@ -252,6 +277,59 @@ class TestAugment:
         ])
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
+
+    def test_non_finite_input_is_one_failed_item(self, tmp_path, capsys, monkeypatch):
+        # two workers even on a one-CPU box
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=3)
+        write_non_finite_wav(in_dir / "utt1.wav")
+        noise = write_noise_dir(tmp_path / "noise")
+        runs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            code = main([
+                "augment", "--in", str(in_dir), "--out", str(out_dir), "--seed", "11",
+                "--noise-dir", str(noise), "--workers", workers,
+            ])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err.splitlines(), dir_bytes(out_dir)))
+        code, out, err, files = runs[0]
+        assert (code, out) == (2, '{"processed": 2, "failed": 1}\n')
+        assert err == [
+            f"ERROR speechaug: failed: utt1.wav: {in_dir / 'utt1.wav'}: samples contain NaN or infinity",
+            "ERROR speechaug: 1 of 3 files failed",
+        ]
+        assert sorted(files) == ["traces.jsonl", "utt0.wav", "utt2.wav"]
+        lines = files["traces.jsonl"].decode().splitlines()
+        assert [AppliedTrace.from_json(line).utterance_id for line in lines] == ["utt0", "utt2"]
+        assert runs[1] == runs[0]
+
+    def test_a_program_fault_leaves_no_traces_file(self, tmp_path, capsys, monkeypatch):
+        # an exception that is no SpeechAugError ends the run, from a worker too
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=4)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+
+        def faulty_chain(config, buffer, utterance_id, bank):
+            (pids / str(os.getpid())).touch()
+            if utterance_id == "utt1":
+                raise ZeroDivisionError("a fault in the program")
+            return apply_chain(config, buffer, utterance_id, bank)
+
+        monkeypatch.setattr(cli, "apply_chain", faulty_chain)
+        out_dir = tmp_path / "out"
+        with pytest.raises(ZeroDivisionError, match="a fault in the program"):
+            main([
+                "augment", "--in", str(in_dir), "--out", str(out_dir), "--seed", "5",
+                "--config", str(write_identity_config(tmp_path / "chain.json")), "--workers", "2",
+            ])
+        names = {p.name for p in out_dir.iterdir()}
+        assert not names & {"traces.jsonl", ".traces.jsonl.partial"}
+        assert os.getpid() not in {int(p.name) for p in pids.iterdir()}
+        assert_reaped(pids)
 
     def test_workers_beyond_the_cpu_count(self, tmp_path, capsys, monkeypatch):
         in_dir = tmp_path / "in"
@@ -873,6 +951,36 @@ class TestBuild:
         assert len(mentions) == 1
         assert mentions[0].startswith("ERROR speechaug: failed: p00000001: ")
 
+    def test_non_finite_engine_audio_is_one_failed_pair(self, tmp_path, capsys, monkeypatch):
+        # two build threads even on a one-CPU box
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        engine = tmp_path / "engine.py"
+        engine.write_text(textwrap.dedent(NON_FINITE_ENGINE))
+        pairs = self.write_pairs(tmp_path / "pairs.tsv", count=3)
+        wavs = tmp_path / "wavs"
+        spec = "subprocess:" + shlex.join([sys.executable, str(engine), str(wavs)])
+        runs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            code = main([
+                "build", "--pairs", str(pairs), "--out", str(out_dir), "--seed", "3",
+                "--units-k", "50", "--no-effects", "--synthesizer", spec, "--workers", workers,
+            ])
+            captured = capsys.readouterr()
+            assert captured.out == f"{out_dir / 'manifest.jsonl'}\n"
+            runs.append((code, captured.err.splitlines(), tree_bytes(out_dir)))
+        code, err, files = runs[0]
+        assert code == 2
+        assert err == [
+            f"ERROR speechaug: failed: p00000001: {wavs / 'number_1_spoken.wav'}: "
+            "samples contain NaN or infinity",
+            "ERROR speechaug: 1 of 3 pairs failed",
+        ]
+        assert sorted(files) == ["audio/p00000000.wav", "audio/p00000002.wav", "manifest.jsonl"]
+        records = read_manifest(tmp_path / "w1" / "manifest.jsonl")
+        assert [r.id for r in records] == ["p00000000", "p00000002"]
+        assert runs[1] == runs[0]
+
 
 # echoes each sentence, then keeps running after the end of its input
 LINGERING_ENGINE = """
@@ -900,6 +1008,28 @@ FLAKY_ENGINE = """
                 fh.write(b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVE")
                 fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 32000, 2, 16))
                 fh.write(b"data" + struct.pack("<I", len(frames)) + frames)
+        print(path, flush=True)
+"""
+
+
+# answers each sentence with a float32 WAV named after it, in which a
+# sentence holding "1" has a NaN sample
+NON_FINITE_ENGINE = """
+    import os, struct, sys
+
+    out_dir = sys.argv[1]
+    os.makedirs(out_dir, exist_ok=True)
+    for line in sys.stdin:
+        sentence = line.rstrip("\\n").split("\\t")[1]
+        samples = [0.1] * (160 * len(sentence))
+        if "1" in sentence:
+            samples[7] = float("nan")
+        frames = struct.pack(f"<{len(samples)}f", *samples)
+        path = os.path.join(out_dir, sentence.replace(" ", "_") + ".wav")
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 36 + len(frames)) + b"WAVE")
+            fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 16000, 64000, 4, 32))
+            fh.write(b"data" + struct.pack("<I", len(frames)) + frames)
         print(path, flush=True)
 """
 

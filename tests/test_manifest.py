@@ -464,6 +464,18 @@ class TestBuildManifest:
         )
         assert [pair_id for pair_id, _ in outcome.failures] == ["p0", "p1", "p2", "p3"]
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_program_fault_leaves_no_manifest(self, tmp_path, workers):
+        class Faulty(MockSynthesizer):
+            def synthesize(self, sentence, language):
+                if sentence == "short one":
+                    raise ZeroDivisionError("a fault in the program")
+                return super().synthesize(sentence, language)
+
+        with pytest.raises(ZeroDivisionError, match="a fault in the program"):
+            build_manifest(some_pairs(), Faulty(), MockUnitizer(50), tmp_path, workers=workers)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audio"]
+
     def test_origin_is_recorded(self, tmp_path):
         outcome = build_manifest(
             some_pairs()[:1], MockSynthesizer(), MockUnitizer(50), tmp_path,
