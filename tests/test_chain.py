@@ -430,8 +430,7 @@ class TestConfigFile:
         config = default_chain(1234)
         path = tmp_path / "chain.json"
         save_chain(config, path)
-        # to_dict leaves out max_segments for the kinds that ignore it
-        assert load_chain(path).to_dict() == config.to_dict()
+        assert load_chain(path) == config
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
