@@ -10,13 +10,14 @@ on processing order, worker count, or the process hash seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
+from _blake2 import blake2b
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from ._jsonfields import fields, typed
 from ._pcg64 import PCG64
 from .audio import AudioBuffer, _write_file
 from .effects import NoiseBank, apply_lowpass, apply_pitch, apply_speed, mix_picks
@@ -27,6 +28,10 @@ KIND_PITCH = "pitch"
 KIND_LOWPASS = "lowpass"
 KIND_NOISE_MIX = "noise_mix"
 
+# The most bank entries one noise mix layers. A noise spec draws
+# 2 + 2 * max_segments uniforms on every utterance, fired or not.
+MAX_SEGMENTS = 64
+
 
 @dataclass(frozen=True)
 class EffectSpec:
@@ -35,8 +40,8 @@ class EffectSpec:
 
     For noise_mix the range is the SNR window in dB and ``max_segments``
     bounds how many bank entries are layered per application (the count is
-    drawn uniformly from 1..max_segments). Other kinds ignore
-    ``max_segments``.
+    drawn uniformly from 1..max_segments, at most ``MAX_SEGMENTS``). Other
+    kinds ignore ``max_segments``, but it must lie in the same range.
     """
 
     kind: str
@@ -53,40 +58,18 @@ class EffectSpec:
         if not (low <= high):
             raise ValueError(f"param_range {self.param_range} is not ordered")
         object.__setattr__(self, "param_range", (float(low), float(high)))
-        if self.max_segments < 1:
-            raise ValueError(f"max_segments must be at least 1, got {self.max_segments}")
+        if not 1 <= self.max_segments <= MAX_SEGMENTS:
+            raise ValueError(f"max_segments must be in 1..{MAX_SEGMENTS}, got {self.max_segments}")
 
 
-def _typed(value: Any, name: str, allowed: tuple[type, ...]) -> Any:
-    """``value`` when it is an instance of one of ``allowed``, a bool only
-    of bool (JSON true is no number); else a ValueError naming the field."""
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-        expected = " or ".join(t.__name__ for t in allowed)
-        raise ValueError(f"{name} must be {expected}, not {type(value).__name__}")
-    return value
-
-
-def _fields(
-    data: Any, where: str, types: Mapping[str, tuple[type, ...]], **defaults: Any
-) -> dict[str, Any]:
-    """The fields of a JSON object that ``types`` names, each ``_typed``,
-    with ``defaults`` standing in for those missing; the object is named
-    ``where``, and a field ``where.key``."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{where or 'the value'} must be an object, not {type(data).__name__}")
-    fields = {}
-    for key, allowed in types.items():
-        name = f"{where}.{key}" if where else key
-        if key not in data and key not in defaults:
-            raise ValueError(f"{name} is missing")
-        fields[key] = _typed(data.get(key, defaults.get(key)), name, allowed)
-    return fields
-
-
-# The JSON types of the fields of an EffectSpec, and of a StageTrace.
-_NUMBER = (int, float)
-_SPEC_FIELDS = {"kind": (str,), "probability": _NUMBER, "param_range": (list,), "max_segments": (int,)}
-_STAGE_FIELDS = {"index": (int,), "kind": (str,), "applied": (bool,), "params": (dict,)}
+# The JSON kinds of the fields of a chain config, of an EffectSpec, of a
+# trace and of a StageTrace.
+_CONFIG_FIELDS = {"specs": "a list", "global_seed": "an integer"}
+_SPEC_FIELDS = {
+    "kind": "a string", "probability": "a number", "param_range": "a list", "max_segments": "an integer",
+}
+_TRACE_FIELDS = {"utterance_id": "a string", "stages": "a list"}
+_STAGE_FIELDS = {"index": "an integer", "kind": "a string", "applied": "a boolean", "params": "an object"}
 
 
 @dataclass(frozen=True)
@@ -118,18 +101,19 @@ class ChainConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChainConfig":
         """The config of a ``to_dict`` value. Each field must have a JSON type
-        ``to_dict`` can write, any number where it writes a float; anything
-        else is a ValueError that names the field, as is a spec it refuses."""
-        top = _fields(data, "", {"specs": (list,), "global_seed": (int,)}, global_seed=0)
+        ``to_dict`` can write, any number where it writes a float; a field of
+        another type, a key it does not know (at the top or in a spec) and a
+        spec ``EffectSpec`` refuses are each a ValueError naming the field."""
+        top = fields(data, _CONFIG_FIELDS, defaults={"global_seed": 0}, closed=True)
         specs = []
         for i, entry in enumerate(top["specs"]):
             where = f"specs[{i}]"
-            spec = _fields(entry, where, _SPEC_FIELDS, max_segments=4)
+            spec = fields(entry, _SPEC_FIELDS, where, defaults={"max_segments": 4}, closed=True)
             bounds = spec["param_range"]
             if len(bounds) != 2:
                 raise ValueError(f"{where}.param_range must hold two numbers, not {len(bounds)}")
             spec["param_range"] = tuple(
-                _typed(x, f"{where}.param_range[{j}]", _NUMBER) for j, x in enumerate(bounds)
+                typed(x, f"{where}.param_range[{j}]", "a number") for j, x in enumerate(bounds)
             )
             spec["probability"] = float(spec["probability"])
             try:
@@ -196,9 +180,9 @@ class AppliedTrace:
         """The trace ``to_json`` wrote as ``line``. Each field must have the
         JSON type ``to_json`` writes; anything else is a ValueError that
         names the field."""
-        data = _fields(json.loads(line), "", {"utterance_id": (str,), "stages": (list,)})
+        data = fields(json.loads(line), _TRACE_FIELDS)
         stages = tuple(
-            StageTrace(**_fields(stage, f"stages[{i}]", _STAGE_FIELDS))
+            StageTrace(**fields(stage, _STAGE_FIELDS, f"stages[{i}]"))
             for i, stage in enumerate(data["stages"])
         )
         return cls(utterance_id=data["utterance_id"], stages=stages)
@@ -208,9 +192,11 @@ def utterance_seed(global_seed: int, utterance_id: str) -> int:
     """Stable 64-bit seed for one utterance.
 
     Uses blake2b rather than Python's hash(), which is salted per process
-    and would wreck cross-run reproducibility.
+    and would wreck cross-run reproducibility. It comes from ``_blake2``,
+    the function ``hashlib.blake2b`` is too; importing ``hashlib`` would
+    map OpenSSL's libcrypto into every process for nothing.
     """
-    digest = hashlib.blake2b(
+    digest = blake2b(
         f"{global_seed}\x1f{utterance_id}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")

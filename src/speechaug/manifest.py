@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
 
+from ._jsonfields import fields as json_fields
 from ._pcg64 import PCG64
 from .audio import _write_file, save_wav
 from .chain import ChainConfig, apply_chain
@@ -32,7 +33,12 @@ MANIFEST_SCHEMA = "speechaug-manifest-v1"
 
 ORIGINS = ("real", "text_aug")
 
-_RECORD_KEYS = ("id", "source_audio", "duration_s", "target_units", "origin", "src_lang", "tgt_lang")
+# the JSON kind of each record field, in the order the writer writes them
+_RECORD_KINDS = {
+    "id": "a string", "source_audio": "a string", "duration_s": "a number", "target_units": "a string",
+    "origin": "a string", "src_lang": "a string", "tgt_lang": "a string",
+}
+_RECORD_KEYS = tuple(_RECORD_KINDS)
 _record_fields = operator.itemgetter(*_RECORD_KEYS)
 # the exact types json.loads gives the fields of a line the writer wrote
 _FIELD_TYPES = (str, str, float, str, str, str, str)
@@ -89,22 +95,11 @@ class ManifestRecord:
     def from_dict(cls, data: Mapping[str, Any]) -> "ManifestRecord":
         # json.loads builds exact dicts, strs and floats, so a line the
         # writer wrote passes on its field types alone; anything else is
-        # checked field by field, and refused with the reason
+        # checked field by field, and refused with the reason. Keys the
+        # record does not know are ignored.
         fields = _exact_fields(data)
         if fields is None:
-            if not isinstance(data, Mapping):
-                raise ValueError(f"record must be a JSON object, not {type(data).__name__}")
-            missing = [k for k in _RECORD_KEYS if k not in data]
-            if missing:
-                raise ValueError(f"missing fields: {', '.join(missing)}")
-            duration_s = data["duration_s"]
-            # bool is an int subclass; the writer only ever writes numbers
-            if isinstance(duration_s, bool) or not isinstance(duration_s, (int, float)):
-                raise ValueError(f"duration_s must be a number, not {type(duration_s).__name__}")
-            for key in _RECORD_KEYS:
-                if key != "duration_s" and not isinstance(data[key], str):
-                    raise ValueError(f"{key} must be a string, not {type(data[key]).__name__}")
-            fields = _record_fields(data)
+            fields = _record_fields(json_fields(data, _RECORD_KINDS, what="record"))
         id_, source_audio, duration_s, units, origin, src_lang, tgt_lang = fields
         # a manifest repeats a handful of origins and languages on every
         # line; interned, each record shares one string per value. The

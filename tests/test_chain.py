@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from speechaug import (
     save_chain,
     utterance_seed,
 )
-from speechaug.chain import EFFECTS
+from speechaug.chain import EFFECTS, MAX_SEGMENTS
 
 from conftest import make_noise_bank, make_sine
 
@@ -315,17 +316,17 @@ def without(key, stage=False):
 # An edit of a parsed trace line, and the error from_json gives for it.
 BAD_TRACE_EDITS = [
     pytest.param(lambda data: [data], "the value must be an object, not list", id="list"),
-    pytest.param(lambda data: {**data, "utterance_id": 7}, "utterance_id must be str, not int", id="id-int"),
-    pytest.param(without("utterance_id"), "utterance_id is missing", id="id-missing"),
-    pytest.param(lambda data: {**data, "stages": {}}, "stages must be list, not dict", id="stages-object"),
+    pytest.param(lambda data: {**data, "utterance_id": 7}, "utterance_id must be a string, not int", id="id-int"),
+    pytest.param(without("utterance_id"), "missing fields: utterance_id", id="id-missing"),
+    pytest.param(lambda data: {**data, "stages": {}}, "stages must be a list, not dict", id="stages-object"),
     pytest.param(lambda data: {**data, "stages": ["x"]}, "stages[0] must be an object, not str", id="stage-str"),
-    pytest.param(first_stage(applied="no"), "stages[0].applied must be bool, not str", id="applied-str"),
-    pytest.param(first_stage(applied=1), "stages[0].applied must be bool, not int", id="applied-int"),
-    pytest.param(first_stage(index=True), "stages[0].index must be int, not bool", id="index-bool"),
-    pytest.param(first_stage(index=1.0), "stages[0].index must be int, not float", id="index-float"),
-    pytest.param(first_stage(kind=None), "stages[0].kind must be str, not NoneType", id="kind-null"),
-    pytest.param(first_stage(params=[]), "stages[0].params must be dict, not list", id="params-list"),
-    pytest.param(without("params", stage=True), "stages[0].params is missing", id="params-missing"),
+    pytest.param(first_stage(applied="no"), "stages[0].applied must be a boolean, not str", id="applied-str"),
+    pytest.param(first_stage(applied=1), "stages[0].applied must be a boolean, not int", id="applied-int"),
+    pytest.param(first_stage(index=True), "stages[0].index must be an integer, not bool", id="index-bool"),
+    pytest.param(first_stage(index=1.0), "stages[0].index must be an integer, not float", id="index-float"),
+    pytest.param(first_stage(kind=None), "stages[0].kind must be a string, not NoneType", id="kind-null"),
+    pytest.param(first_stage(params=[]), "stages[0].params must be an object, not list", id="params-list"),
+    pytest.param(without("params", stage=True), "missing fields: stages[0].params", id="params-missing"),
 ]
 
 
@@ -361,35 +362,42 @@ def without_probability(data):
 # An edit of the default chain's config, and the error load_chain gives for it.
 BAD_CONFIG_EDITS = [
     pytest.param(lambda data: [data], "the value must be an object, not list", id="list"),
-    pytest.param(lambda data: {}, "specs is missing", id="no-specs"),
-    pytest.param(lambda data: {**data, "specs": {}}, "specs must be list, not dict", id="specs-object"),
+    pytest.param(lambda data: {}, "missing fields: specs", id="no-specs"),
+    pytest.param(lambda data: {**data, "specs": {}}, "specs must be a list, not dict", id="specs-object"),
     pytest.param(lambda data: {**data, "specs": [1]}, "specs[0] must be an object, not int", id="spec-int"),
-    pytest.param(spec(0, probability=True), "specs[0].probability must be int or float, not bool", id="p-bool"),
-    pytest.param(spec(0, probability="0.5"), "specs[0].probability must be int or float, not str", id="p-str"),
-    pytest.param(without_probability, "specs[0].probability is missing", id="p-missing"),
+    pytest.param(spec(0, probability=True), "specs[0].probability must be a number, not bool", id="p-bool"),
+    pytest.param(spec(0, probability="0.5"), "specs[0].probability must be a number, not str", id="p-str"),
+    pytest.param(without_probability, "missing fields: specs[0].probability", id="p-missing"),
     pytest.param(spec(2, probability=1.5), "specs[2]: probability 1.5 outside [0, 1]", id="p-above-one"),
-    pytest.param(spec(1, kind=["pitch"]), "specs[1].kind must be str, not list", id="kind-list"),
+    pytest.param(spec(1, kind=["pitch"]), "specs[1].kind must be a string, not list", id="kind-list"),
     pytest.param(spec(1, kind="echo"), "specs[1]: unknown effect kind 'echo'", id="kind-unknown"),
     pytest.param(
-        spec(3, param_range=["25", 35]), "specs[3].param_range[0] must be int or float, not str",
+        spec(3, param_range=["25", 35]), "specs[3].param_range[0] must be a number, not str",
         id="range-str",
     ),
     pytest.param(
-        spec(0, param_range=[0.95, True]), "specs[0].param_range[1] must be int or float, not bool",
+        spec(0, param_range=[0.95, True]), "specs[0].param_range[1] must be a number, not bool",
         id="range-bool",
     ),
     pytest.param(spec(0, param_range=[0.95]), "specs[0].param_range must hold two numbers, not 1", id="range-one"),
     pytest.param(
         spec(0, param_range=[0.9, 1.0, 1.1]), "specs[0].param_range must hold two numbers, not 3", id="range-three",
     ),
-    pytest.param(spec(0, param_range=0.95), "specs[0].param_range must be list, not float", id="range-float"),
+    pytest.param(spec(0, param_range=0.95), "specs[0].param_range must be a list, not float", id="range-float"),
     pytest.param(
         spec(0, param_range=[1.05, 0.95]), "specs[0]: param_range (1.05, 0.95) is not ordered", id="range-unordered",
     ),
-    pytest.param(spec(3, max_segments=2.9), "specs[3].max_segments must be int, not float", id="segments-float"),
-    pytest.param(spec(3, max_segments=True), "specs[3].max_segments must be int, not bool", id="segments-bool"),
-    pytest.param(lambda data: {**data, "global_seed": 1.5}, "global_seed must be int, not float", id="seed-float"),
-    pytest.param(lambda data: {**data, "global_seed": "1"}, "global_seed must be int, not str", id="seed-str"),
+    pytest.param(spec(3, max_segments=2.9), "specs[3].max_segments must be an integer, not float", id="segments-float"),
+    pytest.param(spec(3, max_segments=True), "specs[3].max_segments must be an integer, not bool", id="segments-bool"),
+    pytest.param(lambda data: {**data, "global_seed": 1.5}, "global_seed must be an integer, not float", id="seed-float"),
+    pytest.param(lambda data: {**data, "global_seed": "1"}, "global_seed must be an integer, not str", id="seed-str"),
+    pytest.param(spec(3, max_segments=65), "specs[3]: max_segments must be in 1..64, got 65", id="segments-above-bound"),
+    pytest.param(lambda data: {**data, "global_sed": 7}, "unknown fields: global_sed", id="top-key-unknown"),
+    pytest.param(spec(3, max_segmnets=1), "unknown fields: specs[3].max_segmnets", id="spec-key-unknown"),
+    pytest.param(
+        lambda data: {"specs": [{"kind": "speed", "probabilty": 0.5, "param_range": [0.9, 1.1]}]},
+        "unknown fields: specs[0].probabilty", id="misspelled-required-key",
+    ),
 ]
 
 
@@ -398,7 +406,7 @@ effect_specs = st.builds(
     kind=st.sampled_from(sorted(EFFECTS)),
     probability=st.one_of(st.floats(0.0, 1.0), st.integers(0, 1)),
     param_range=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2).map(sorted).map(tuple),
-    max_segments=st.integers(1, 10**6),
+    max_segments=st.integers(1, MAX_SEGMENTS),
 )
 
 
@@ -410,6 +418,13 @@ class TestConfigFile:
         with pytest.raises(ValueError) as caught:
             load_chain(path)
         assert str(caught.value) == reason
+
+    def test_tuples_are_lists_and_mappings_are_objects(self):
+        data = MappingProxyType(
+            {"specs": (MappingProxyType({"kind": "noise_mix", "probability": 0.5, "param_range": (25, 35)}),)}
+        )
+        config = ChainConfig.from_dict(data)
+        assert config == ChainConfig((EffectSpec("noise_mix", 0.5, (25.0, 35.0), 4),), 0)
 
     def test_json_integers_are_numbers(self):
         data = {"specs": [{"kind": "lowpass", "probability": 1, "param_range": [300, 1000]}]}
@@ -451,6 +466,19 @@ class TestUtteranceSeed:
         assert utterance_seed(0, "a") == utterance_seed(0, "a")
         assert utterance_seed(0, "a") != utterance_seed(1, "a")
         assert utterance_seed(0, "a") != utterance_seed(0, "b")
+
+    @pytest.mark.parametrize(
+        "global_seed, utterance_id, seed",
+        [
+            (0, "a", 6539243125055167529),
+            (1, "p00000001:src", 9975640914076521055),
+            (13, "u042.wav", 11472337144803759582),
+            (2**40, "\u00e9", 10132264126324515082),
+        ],
+    )
+    def test_pinned_values(self, global_seed, utterance_id, seed):
+        # every seed, and so every output byte, depends on these
+        assert utterance_seed(global_seed, utterance_id) == seed
 
     def test_no_separator_collision(self):
         assert utterance_seed(12, "3x") != utterance_seed(1, "23x")

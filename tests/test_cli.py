@@ -252,7 +252,25 @@ class TestAugment:
             "--seed", "1", "--config", str(tmp_path / "chain.json"),
         ]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: cannot load chain config: specs[0].probability must be int or float, not bool"
+            "error: cannot load chain config: specs[0].probability must be a number, not bool"
+        ]
+        assert not out_dir.exists()
+
+    def test_config_key_it_does_not_know_is_one_error_line(self, tmp_path, capsys):
+        # a misspelled optional field used to fall back to its default
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir)
+        (tmp_path / "chain.json").write_text(json.dumps({
+            "global_seed": 7,
+            "specs": [{"kind": "noise_mix", "probability": 0.5, "param_range": [25, 35], "max_segmnets": 1}],
+        }))
+        out_dir = tmp_path / "out"
+        assert main([
+            "augment", "--in", str(in_dir), "--out", str(out_dir),
+            "--seed", "1", "--config", str(tmp_path / "chain.json"),
+        ]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot load chain config: unknown fields: specs[0].max_segmnets"
         ]
         assert not out_dir.exists()
 
@@ -1037,11 +1055,11 @@ NON_FINITE_ENGINE = """
 # A manifest line of the wrong JSON type, as (text in place of record "b",
 # the reason that follows "line 3: ").
 WRONG_TYPE_LINES = [
-    pytest.param("5", "record must be a JSON object, not int", id="int"),
-    pytest.param("null", "record must be a JSON object, not NoneType", id="null"),
-    pytest.param("true", "record must be a JSON object, not bool", id="bool"),
-    pytest.param('"b"', "record must be a JSON object, not str", id="string"),
-    pytest.param("[1, 2]", "record must be a JSON object, not list", id="list"),
+    pytest.param("5", "record must be an object, not int", id="int"),
+    pytest.param("null", "record must be an object, not NoneType", id="null"),
+    pytest.param("true", "record must be an object, not bool", id="bool"),
+    pytest.param('"b"', "record must be an object, not str", id="string"),
+    pytest.param("[1, 2]", "record must be an object, not list", id="list"),
     pytest.param('{"duration_s": null}', "duration_s must be a number, not NoneType", id="duration-null"),
     pytest.param('{"duration_s": [3.0]}', "duration_s must be a number, not list", id="duration-list"),
     pytest.param('{"duration_s": {"s": 3.0}}', "duration_s must be a number, not dict", id="duration-object"),
@@ -1058,7 +1076,7 @@ WRONG_TYPE_LINES = [
     pytest.param('{"tgt_lang": false}', "tgt_lang must be a string, not bool", id="tgt-lang-bool"),
     pytest.param(
         '{"id": 7, "duration_s": true, "src_lang": ["x"]}',
-        "duration_s must be a number, not bool",
+        "id must be a string, not int",
         id="three-wrong",
     ),
 ]

@@ -1,4 +1,5 @@
-"""numpy is imported at the first array operation, not with the package.
+"""numpy is imported at the first array operation, not with the package,
+and hashlib (with the OpenSSL library it loads) not at all.
 
 Each check runs in a fresh interpreter, since this one has numpy imported
 already.
@@ -208,3 +209,65 @@ def test_build_and_augment_run_with_numpy_random_blocked(tmp_path):
     assert len(runs["free"]) == 6 + 1 + 6 + 1  # the WAVs, the manifest and traces.jsonl
     traces = runs["free"]["augment/traces.jsonl"].decode().splitlines()
     assert any('"applied": true' in line for line in traces)
+
+
+# hashlib and the OpenSSL binding it loads: a None entry makes every later
+# import of either raise ImportError
+_BLOCK_HASHLIB = "import sys; sys.modules['hashlib'] = None; sys.modules['_hashlib'] = None; "
+
+# whether OpenSSL's binding was imported, at exit, and room for two forked workers
+_REPORT_HASHLIB = (
+    "import atexit, os, sys; os.cpu_count = lambda: 4; "
+    "atexit.register(lambda: print(sys.modules.get('_hashlib') is not None, file=sys.stderr)); "
+)
+
+
+def test_every_subcommand_runs_with_hashlib_blocked(tmp_path):
+    # blake2b comes from _blake2, so no process maps libcrypto
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_tsv(
+        [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(4)], pairs
+    )
+    noise = tmp_path / "noise"
+    noise.mkdir()
+    for entry in make_noise_bank(3, 16000, np.random.default_rng(5)).entries:
+        save_wav(entry.buffer, noise / f"{entry.id}.wav", encoding="float32")
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(4):
+        save_wav(make_sine(300.0 + 40.0 * i, 0.3, 16000), inputs / f"utt{i}.wav")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"sentence number {i} is here\n" for i in range(8)))
+    real, aug = tmp_path / "real.jsonl", tmp_path / "aug.jsonl"
+    write_manifest([record(f"r{i}") for i in range(5)], real)
+    write_manifest([record(f"a{i}", origin="text_aug") for i in range(3)], aug)
+    runs = {}
+    for label, prelude in (("blocked", _BLOCK_HASHLIB + _REPORT_HASHLIB), ("free", _REPORT_HASHLIB)):
+        out = tmp_path / label
+        commands = [
+            ("augment", "--in", str(inputs), "--out", str(out / "augment"), "--seed", "3",
+             "--noise-dir", str(noise), "--workers", "2"),
+            ("build", "--pairs", str(pairs), "--out", str(out / "build"), "--seed", "3",
+             "--units-k", "50", "--noise-dir", str(noise), "--augment-target"),
+            ("textaug", "--in", str(corpus), "--out", str(out / "text"), "--language", "en",
+             "--to", "xx", "--take-n", "5", "--seed", "3"),
+            ("stats", "--manifest", str(real)),
+            ("sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+             "--weights", "real=0.4,text_aug=0.6", "-n", "50", "--seed", "3"),
+        ]
+        stdout = []
+        for argv in commands:
+            result = run_python(prelude + _MAIN, *argv)
+            assert (result.returncode, result.stderr) == (0, "False\n"), (argv[0], result.stderr)
+            stdout.append(result.stdout.replace(str(out), "OUT"))
+        files = {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        runs[label] = (stdout, files)
+    assert runs["blocked"] == runs["free"]
+    stdout, files = runs["free"]
+    assert json.loads(stdout[0]) == {"processed": 4, "failed": 0}
+    assert len(stdout[4].split()) == 50
+    assert len(files) == 4 + 1 + 4 + 1 + 2  # augment's WAVs and traces, build's, textaug's

@@ -111,6 +111,11 @@ class TestManifestRecord:
         with pytest.raises(ValueError, match="origin"):
             ManifestRecord.from_dict({"id": "x"})
 
+    @pytest.mark.parametrize("wrap", [dict, MappingProxyType], ids=["exact", "mapping"])
+    def test_from_dict_ignores_keys_it_does_not_know(self, wrap):
+        data = {**json.loads(record().to_json()), "speaker": 3, "notes": ["x"]}
+        assert ManifestRecord.from_dict(wrap(data)) == record()
+
     def test_from_dict_rejects_non_string_units(self):
         data = json.loads(record().to_json())
         data["target_units"] = [1, 2, 3]
