@@ -124,7 +124,7 @@ def load_wav(path: str | Path) -> AudioBuffer:
     """
     try:
         data = Path(path).read_bytes()
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: a path holding NUL
         raise IoFailure(f"could not read {path}: {err}") from err
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWav(f"{path}: missing RIFF/WAVE header")

@@ -269,25 +269,23 @@ def _apply_noise(
     }
 
 
+def _scalar(param: str, applier: Callable[[AudioBuffer, float], AudioBuffer]) -> _Effect:
+    """The row of an effect with one parameter, ``param``, drawn uniformly
+    from the spec's range and passed to ``applier``."""
+    return _Effect(
+        lambda spec: 1,
+        lambda spec, u, buffer, bank: {param: _uniform(u[0], *spec.param_range)},
+        lambda buffer, p, bank: (applier(buffer, float(p[param])), p),
+    )
+
+
 # The appliers name apply_speed, apply_pitch and apply_lowpass as module
 # globals, looked up on every call, so that wrapping those attributes (for
 # tracing or in tests) reaches the calls the chain makes.
 EFFECTS: dict[str, _Effect] = {
-    KIND_SPEED: _Effect(
-        lambda spec: 1,
-        lambda spec, u, buffer, bank: {"factor": _uniform(u[0], *spec.param_range)},
-        lambda buffer, p, bank: (apply_speed(buffer, float(p["factor"])), p),
-    ),
-    KIND_PITCH: _Effect(
-        lambda spec: 1,
-        lambda spec, u, buffer, bank: {"factor": _uniform(u[0], *spec.param_range)},
-        lambda buffer, p, bank: (apply_pitch(buffer, float(p["factor"])), p),
-    ),
-    KIND_LOWPASS: _Effect(
-        lambda spec: 1,
-        lambda spec, u, buffer, bank: {"cutoff_hz": _uniform(u[0], *spec.param_range)},
-        lambda buffer, p, bank: (apply_lowpass(buffer, float(p["cutoff_hz"])), p),
-    ),
+    KIND_SPEED: _scalar("factor", lambda buffer, factor: apply_speed(buffer, factor)),
+    KIND_PITCH: _scalar("factor", lambda buffer, factor: apply_pitch(buffer, factor)),
+    KIND_LOWPASS: _scalar("cutoff_hz", lambda buffer, cutoff: apply_lowpass(buffer, cutoff)),
     KIND_NOISE_MIX: _Effect(
         lambda spec: 2 + 2 * spec.max_segments,
         _resolve_noise,

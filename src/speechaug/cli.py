@@ -92,19 +92,18 @@ def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank
     noise, which it must then get; None when no chain runs or it mixes none."""
     if chain is None or not needs_bank(chain):
         return None
-    bank = None
+    if args.noise_dir is not None:
+        source, load = args.noise_dir, NoiseBank.from_dir
+    elif args.noise_manifest is not None:
+        source, load = args.noise_manifest, NoiseBank.from_manifest
+    else:
+        raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
     try:
-        if args.noise_dir is not None:
-            bank = NoiseBank.from_dir(args.noise_dir)
-        elif args.noise_manifest is not None:
-            bank = NoiseBank.from_manifest(args.noise_manifest)
+        bank = load(source)
     except (SpeechAugError, OSError, ValueError) as err:
         raise CliError(f"cannot load noise bank: {err}") from err
-    if bank is not None and len(bank) == 0:
-        source = args.noise_manifest if args.noise_dir is None else args.noise_dir
+    if len(bank) == 0:
         raise CliError(f"no noise entries in {source}")
-    if bank is None:
-        raise CliError("this chain mixes noise; pass --noise-dir or --noise-manifest")
     return bank
 
 

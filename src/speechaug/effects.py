@@ -26,6 +26,7 @@ from .errors import (
     MalformedManifest,
     ZeroNoisePower,
 )
+from .textpipe import iter_lines
 
 SPEED_FACTOR_MIN = 0.5
 SPEED_FACTOR_MAX = 2.0
@@ -336,19 +337,24 @@ class NoiseBank:
 
         The category column is optional; relative paths are resolved against
         the manifest's directory. Blank lines and ``#`` comments are ignored.
+        A third field, or a file stem (the entry id) an earlier line used,
+        raises MalformedManifest; bytes that are not UTF-8, MalformedText.
         """
         manifest = Path(path)
         entries = []
-        for line_no, raw in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+        first_line: dict[str, int] = {}
+        for line_no, raw in enumerate(iter_lines(manifest), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) > 2:
                 raise MalformedManifest(line_no, f"expected 'path[<TAB>category]', got {raw!r}")
-            wav = Path(parts[0])
-            if not wav.is_absolute():
-                wav = manifest.parent / wav
+            # an absolute path replaces the directory
+            wav = manifest.parent / parts[0]
+            first = first_line.setdefault(wav.stem, line_no)
+            if first != line_no:
+                raise MalformedManifest(line_no, f"stem {wav.stem!r} already used on line {first}")
             category = parts[1] if len(parts) == 2 else None
             entries.append(NoiseEntry(wav.stem, load_wav(wav), category))
         return cls(entries)

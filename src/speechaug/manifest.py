@@ -370,9 +370,8 @@ def corpus_stats(path: str | Path) -> dict[str, Any]:
             histogram[n_units] = histogram.get(n_units, 0) + 1
             yield duration_s
 
-    # sum() itself consumes the stream: its float algorithm is not a running
-    # "+=" (Python 3.12 compensates it), and the total must stay sum()'s
-    total_s = float(sum(durations()))
+    # correctly rounded, so the total is the same on every Python version
+    total_s = math.fsum(durations())
     return {
         "records": sum(bucket["records"] for bucket in origins.values()),
         "total_duration_s": total_s,

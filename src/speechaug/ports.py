@@ -364,7 +364,8 @@ _EXIT_TIMEOUT_S = 10.0
 
 
 class _LineProcess:
-    """A child process spoken to one line at a time over stdin/stdout.
+    """A child process spoken to one UTF-8 line at a time over stdin/stdout,
+    whatever the locale.
 
     Requests from any number of threads are serialized: each holds the lock
     from its liveness check to its answer, so every caller reads the line
@@ -376,31 +377,30 @@ class _LineProcess:
             raise ValueError("command must not be empty")
         self.command = tuple(command)
         try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as err:
             raise PortError(f"cannot start {self.command[0]}: {err}") from err
         self._lock = threading.Lock()
 
-    def request(self, line: str) -> str:
-        if "\n" in line:
-            raise ValueError("protocol lines must not contain newlines")
+    def request(self, *fields: str) -> str:
+        """Send ``fields``, each whitespace-flattened, as one tab-separated
+        UTF-8 line, and return the answer line. An answer that is not UTF-8
+        raises PortError; the next request reads the next line."""
+        line = ("\t".join(" ".join(field.split()) for field in fields) + "\n").encode("utf-8")
         proc = self._proc
         assert proc.stdin is not None and proc.stdout is not None
         with self._lock:
             if proc.poll() is not None:
                 raise PortError(f"{self.command[0]} exited with code {proc.returncode}")
-            proc.stdin.write(line + "\n")
+            proc.stdin.write(line)
             proc.stdin.flush()
             response = proc.stdout.readline()
-        if response == "":
+        if not response:
             raise PortError(f"{self.command[0]} closed its stdout mid-conversation")
-        return response.rstrip("\n")
+        try:
+            return response.rstrip(b"\r\n").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise PortError(f"{self.command[0]}'s answer is not UTF-8: {err}") from None
 
     def close(self) -> None:
         """Close both pipes and reap the child; end of input tells it to exit.
@@ -444,8 +444,7 @@ class SubprocessTranslator(_LineProcess):
     """
 
     def translate(self, sentence: str, from_language: str, to_language: str) -> str:
-        flat = " ".join(sentence.split())
-        return self.request(f"{from_language}\t{to_language}\t{flat}")
+        return self.request(from_language, to_language, sentence)
 
 
 class SubprocessSynthesizer(_LineProcess):
@@ -467,8 +466,7 @@ class SubprocessSynthesizer(_LineProcess):
         super().__init__(command)
 
     def synthesize(self, sentence: str, language: str) -> AudioBuffer:
-        flat = " ".join(sentence.split())
-        path = self.request(f"{language}\t{flat}")
+        path = self.request(language, sentence)
         try:
             buffer = load_wav(path)
         except IoFailure as err:

@@ -371,14 +371,11 @@ def read_pairs_tsv(path: str | Path) -> list[TextPair]:
         parts = raw.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-        pair_id = parts[0]
-        if pair_id in first_line:
-            raise ValueError(
-                f"{path}:{line_no}: pair id {pair_id!r} already used on line {first_line[pair_id]}"
-            )
-        first_line[pair_id] = line_no
+        first = first_line.setdefault(parts[0], line_no)
+        if first != line_no:
+            raise ValueError(f"{path}:{line_no}: pair id {parts[0]!r} already used on line {first}")
         try:
-            pairs.append(TextPair(id=pair_id, source=parts[1], target=parts[2]))
+            pairs.append(TextPair(*parts))
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from err
     return pairs

@@ -108,6 +108,10 @@ class TestLoadWav:
         with pytest.raises(IoFailure, match=f"could not read .*{name}"):
             load_wav(tmp_path / name)
 
+    def test_path_holding_nul(self, tmp_path):
+        with pytest.raises(IoFailure, match="could not read .*embedded null byte"):
+            load_wav(f"{tmp_path}/a\x00b.wav")
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.wav"
         path.write_bytes(b"RIFF\x04\x00")

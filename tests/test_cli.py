@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import signal
+import subprocess
 import sys
 import textwrap
 from dataclasses import fields
@@ -414,10 +415,31 @@ def listing_repeats_a_stem(tmp_path: Path) -> Path:
     return listing
 
 
+def listing_with_three_fields(tmp_path: Path) -> Path:
+    write_noise_dir(tmp_path / "a", count=1)
+    listing = tmp_path / "noise.tsv"
+    listing.write_text("a/noise0.wav\tbabble\tloud\n")
+    return listing
+
+
+def listing_not_utf8(tmp_path: Path) -> Path:
+    write_noise_dir(tmp_path / "a", count=1)
+    listing = tmp_path / "noise.tsv"
+    listing.write_bytes(b"a/noise0.wav\tbab\xffble\n")
+    return listing
+
+
+def listing_path_holds_nul(tmp_path: Path) -> Path:
+    listing = tmp_path / "noise.tsv"
+    listing.write_text("a/noi\x00se0.wav\tbabble\n")
+    return listing
+
+
 class TestBadNoiseManifest:
-    @pytest.mark.parametrize(
-        "make_listing", [listing_missing, listing_names_missing_wav, listing_repeats_a_stem]
-    )
+    @pytest.mark.parametrize("make_listing", [
+        listing_missing, listing_names_missing_wav, listing_repeats_a_stem,
+        listing_with_three_fields, listing_not_utf8, listing_path_holds_nul,
+    ])
     @pytest.mark.parametrize("command", ["augment", "build"])
     def test_is_one_error_line(self, tmp_path, capsys, command, make_listing):
         listing = make_listing(tmp_path)
@@ -437,6 +459,23 @@ class TestBadNoiseManifest:
         assert err.splitlines() == [err.splitlines()[0]]
         assert err.startswith("error: cannot load noise bank: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("make_listing, reason", [
+        (listing_repeats_a_stem, "line 2: stem 'noise0' already used on line 1"),
+        (listing_with_three_fields,
+         "line 1: expected 'path[<TAB>category]', got 'a/noise0.wav\\tbabble\\tloud'"),
+        (listing_not_utf8, "{listing}:1: not valid UTF-8 (invalid start byte)"),
+    ])
+    def test_names_the_line(self, tmp_path, capsys, make_listing, reason):
+        listing = make_listing(tmp_path)
+        write_input_wavs(tmp_path / "in", count=1)
+        code = main([
+            "augment", "--in", str(tmp_path / "in"), "--out", str(tmp_path / "out"),
+            "--seed", "1", "--noise-manifest", str(listing),
+        ])
+        assert code == 1
+        reason = reason.format(listing=listing)
+        assert capsys.readouterr().err == f"error: cannot load noise bank: {reason}\n"
 
 
 class TestNoiseFlags:
@@ -752,6 +791,49 @@ class TestTextaug:
             "--language", "en", "--to", "xx", "--max-length-ratio", "0.2",
         ]) == 1
 
+    def test_engine_pipes_are_utf8_whatever_the_locale(self, tmp_path):
+        engine = tmp_path / "engine.py"
+        engine.write_text(textwrap.dedent(ECHO_ENGINE))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("доброе утро\nхорошая погода сегодня\ngood morning\n", encoding="utf-8")
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+        env["PYTHONPATH"] = package_root
+        for name, codec in [("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0"}), ("utf8", {"PYTHONUTF8": "1"})]:
+            run = subprocess.run(
+                [sys.executable, "-m", "speechaug.cli", "textaug", "--in", str(corpus),
+                 "--out", str(tmp_path / name), "--language", "ru", "--to", "en", "--translator",
+                 "subprocess:" + shlex.join([sys.executable, "-X", "utf8", str(engine)])],
+                env={**env, "PYTHONCOERCECLOCALE": "0", **codec}, capture_output=True, timeout=60,
+            )
+            assert (run.returncode, run.stderr) == (0, b"")
+        expected = (
+            "p00000000\tдоброе утро\tдоброе утро\n"
+            "p00000001\tхорошая погода сегодня\tхорошая погода сегодня\n"
+            "p00000002\tgood morning\tgood morning\n"
+        ).encode()
+        assert (tmp_path / "ascii" / "pairs.tsv").read_bytes() == expected
+        assert (tmp_path / "utf8" / "pairs.tsv").read_bytes() == expected
+
+    def test_engine_answer_that_is_not_utf8_fails_its_sentence(self, tmp_path, capsys):
+        engine = tmp_path / "engine.py"
+        engine.write_text(textwrap.dedent(NOT_UTF8_ENGINE))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("good morning\nbad\nfine weather today\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main([
+            "textaug", "--in", str(corpus), "--out", str(out_dir), "--language", "en", "--to", "xx",
+            "--translator", "subprocess:" + shlex.join([sys.executable, str(engine)]),
+        ])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["translator_failures"] == 1
+        assert err == "ERROR speechaug: 1 sentences failed translation\n"
+        assert (out_dir / "pairs.tsv").read_text(encoding="utf-8") == (
+            "p00000000\tgood morning\tgood morning\n"
+            "p00000002\tfine weather today\tfine weather today\n"
+        )
+
     def test_non_utf8_corpus_is_one_error_line_and_no_pairs(self, tmp_path, capsys):
         # the bad line comes after many pairs were written
         lines = [f"sentence number {i}".encode() for i in range(1500)] + [b"bad \xff byte"]
@@ -1008,6 +1090,26 @@ LINGERING_ENGINE = """
     for line in sys.stdin:
         print(line.rstrip("\\n").split("\\t")[2], flush=True)
     time.sleep(60)
+"""
+
+
+# echoes each sentence; run it with -X utf8, so that its pipes are UTF-8
+ECHO_ENGINE = """
+    import sys
+
+    for line in sys.stdin:
+        print(line.rstrip("\\n").split("\\t")[2], flush=True)
+"""
+
+
+# echoes each sentence, but answers "bad" with two bytes that are not UTF-8
+NOT_UTF8_ENGINE = """
+    import sys
+
+    for line in sys.stdin.buffer:
+        sentence = line.rstrip(b"\\n").split(b"\\t")[2]
+        sys.stdout.buffer.write((b"\\xff\\xfe" if sentence == b"bad" else sentence) + b"\\n")
+        sys.stdout.buffer.flush()
 """
 
 

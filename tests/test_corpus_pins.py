@@ -7,8 +7,9 @@ was before the DSP stages were rewritten to compute in arrays they own. Any
 later change must keep these bytes.
 
 numpy is not imported here, nor is conftest's fixtures module, so the CI job
-without numpy runs this file too. There the stats pin skips: from Python 3.12
-``sum()`` is compensated, and ``total_duration_s`` differs by design.
+without numpy runs this file too. The stats pin holds on every Python: the
+total is ``math.fsum``, which is correctly rounded. Its digest is that of
+Python 3.12's compensated ``sum()``, which the total was before.
 """
 
 from __future__ import annotations
@@ -148,10 +149,9 @@ STATS_LINES = [
     manifest_line("c5", "99 98 97 96 95 94 93 92 91 90 89", 9.125),
 ]
 
-STATS_PIN = "f0d568e25365f87315d76bd9cc32b1820313da2376721a2f7bf78e2bad96e910"
+STATS_PIN = "bbcbe630601fcc5ea4c472fa574abd55f387b2f9b51f549dff1c0d3574ea0dae"
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sum() is compensated from Python 3.12")
 def test_stats_output(tmp_path, capsys):
     path = tmp_path / "m.jsonl"
     path.write_text("\n".join(STATS_LINES) + "\n", encoding="utf-8")

@@ -16,7 +16,10 @@ from speechaug import (
     CutoffAboveNyquist,
     EmptyNoiseBank,
     FactorOutOfRange,
+    IoFailure,
     LengthMismatch,
+    MalformedManifest,
+    MalformedText,
     NoiseBank,
     NoiseEntry,
     ZeroNoisePower,
@@ -411,6 +414,48 @@ class TestNoiseBank:
         assert len(bank) == 2
         assert bank.entry("hum").category == "noise"
         assert bank.entry("talk").category == "speech"
+
+    @pytest.fixture
+    def noise_files(self, tmp_path, rng):
+        from speechaug import save_wav
+
+        for name in ("a/hum.wav", "b/hum.wav", "talk.wav"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            save_wav(AudioBuffer(rng.normal(0, 0.1, 500), 16000), tmp_path / name)
+        return tmp_path
+
+    def test_from_manifest_takes_absolute_paths(self, noise_files):
+        listing = noise_files / "sub" / "noise.tsv"
+        listing.parent.mkdir()
+        listing.write_text(f"{noise_files / 'talk.wav'}\n../a/hum.wav\n")
+        assert [e.id for e in NoiseBank.from_manifest(listing).entries] == ["talk", "hum"]
+
+    def test_from_manifest_refuses_a_third_field(self, noise_files):
+        listing = noise_files / "noise.tsv"
+        listing.write_text("talk.wav\tspeech\n\na/hum.wav\tnoise\textra\n")
+        with pytest.raises(MalformedManifest, match="^line 3: expected 'path") as info:
+            NoiseBank.from_manifest(listing)
+        assert info.value.line_number == 3
+
+    def test_from_manifest_refuses_bytes_that_are_not_utf8(self, noise_files):
+        listing = noise_files / "noise.tsv"
+        listing.write_bytes(b"talk.wav\tspeech\na/hum.wav\tno\xffise\n")
+        with pytest.raises(MalformedText) as info:
+            NoiseBank.from_manifest(listing)
+        assert str(info.value) == f"{listing}:2: not valid UTF-8 (invalid start byte)"
+
+    def test_from_manifest_refuses_a_path_holding_nul(self, noise_files):
+        listing = noise_files / "noise.tsv"
+        listing.write_text("talk.wav\nhum\x00.wav\n")
+        with pytest.raises(IoFailure, match="embedded null byte"):
+            NoiseBank.from_manifest(listing)
+
+    def test_from_manifest_refuses_a_repeated_stem(self, noise_files):
+        listing = noise_files / "noise.tsv"
+        listing.write_text("a/hum.wav\tnoise\n# the same id\nb/hum.wav\tmusic\n")
+        with pytest.raises(MalformedManifest) as info:
+            NoiseBank.from_manifest(listing)
+        assert str(info.value) == "line 3: stem 'hum' already used on line 1"
 
     def test_at_rate_resamples_everything(self, rng):
         bank = make_noise_bank(2, 16000, rng)

@@ -644,7 +644,7 @@ class TestCorpusStats:
         records = [record(f"r{i}", float(d)) for i, d in enumerate(gen.uniform(0.1, 9.9, 500))]
         path = tmp_path / "m.jsonl"
         write_manifest(records, path)
-        assert corpus_stats(path)["total_duration_s"] == float(sum(r.duration_s for r in records))
+        assert corpus_stats(path)["total_duration_s"] == math.fsum(r.duration_s for r in records)
 
     def test_unit_length_histogram(self, tmp_path):
         records = [
