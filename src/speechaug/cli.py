@@ -311,6 +311,16 @@ def _int_type(low: int, what: str) -> Callable[[str], int]:
     return parse
 
 
+def _utf8(text: str) -> str:
+    """An argparse type for a language code, which an engine gets as UTF-8:
+    argv bytes that are not UTF-8 reach Python as lone surrogates."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"expected UTF-8 text, got {text!r}") from None
+    return text
+
+
 _positive_int = _int_type(1, "a positive integer")
 _non_negative_int = _int_type(0, "a non-negative integer")
 _vocabulary_size = _int_type(2, "an integer of at least 2")
@@ -339,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("textaug", help="clean, translate and filter a text corpus")
     p.add_argument("--in", dest="in_path", required=True, help="corpus file, one sentence per line")
     p.add_argument("--out", dest="out_path", required=True, help="output directory")
-    p.add_argument("--language", required=True, help="language of the input corpus")
-    p.add_argument("--to", required=True, help="language to translate into")
+    p.add_argument("--language", type=_utf8, required=True, help="language of the input corpus")
+    p.add_argument("--to", type=_utf8, required=True, help="language to translate into")
     p.add_argument("--translator", default="mock", help="mock, mock-notag or subprocess:CMD")
     p.add_argument("--take-n", type=_positive_int, default=None, help="reservoir-sample N input lines")
     p.add_argument("--seed", type=_non_negative_int, default=None, help="seed (only with --take-n)")
@@ -362,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     effects.add_argument("--augment-target", action="store_true")
     _add_noise_options(p)
     p.add_argument("--synthesizer", default="mock", help="mock or subprocess:CMD")
-    p.add_argument("--src-lang", default="src")
-    p.add_argument("--tgt-lang", default="tgt")
+    p.add_argument("--src-lang", type=_utf8, default="src")
+    p.add_argument("--tgt-lang", type=_utf8, default="tgt")
     p.add_argument("--origin", default="text_aug", choices=["real", "text_aug"])
     p.add_argument("--no-augment-source", action="store_true")
     p.add_argument("--workers", type=_positive_int, default=1, help="worker threads")

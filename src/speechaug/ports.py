@@ -14,12 +14,10 @@ import math
 import operator
 import os
 import pickle
-import signal
-import subprocess
+import selectors
 import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from typing import BinaryIO, Protocol, TypeVar, runtime_checkable
@@ -202,7 +200,10 @@ def ordered_map(
     of state set up before the call, such as a chain and a noise bank:
     each child is forked from the caller, so nothing ``fn`` changes in
     memory comes back, only its result or its exception. Items, results
-    and exceptions travel pickled. A child that dies raises
+    and exceptions travel pickled. The children are forked with numpy
+    loaded, and the caller's thread drives them itself, starting no thread:
+    it sends each idle child the next item, one item in flight per child,
+    and waits on their answer pipes together. A child that dies raises
     ``WorkerDied``, and no child outlives the generator.
     """
 
@@ -215,69 +216,98 @@ def ordered_map(
     items = iter(items)
     first = list(islice(items, max(1, min(workers, os.cpu_count() or 1))))
     workers = len(first)
+    items = chain(first, items)
     if workers <= 1:
-        yield from map(attempt, chain(first, items))
+        yield from map(attempt, items)
         return
 
-    # process mode: each pool thread adopts one child, sends it one item at
-    # a time and waits for the answer
+    if not processes:
+        # only this mode needs a thread pool, so only it loads the module
+        from concurrent.futures import Future, ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            pending: deque[Future] = deque()
+            for item in items:
+                pending.append(pool.submit(attempt, item))
+                if len(pending) == _AHEAD * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return
+
+    # process mode, driven from the caller's thread
     children: list[tuple[int, BinaryIO, BinaryIO]] = []
     unreaped: set[int] = set()
-    adopted = threading.local()
 
-    def adopt() -> None:
-        adopted.child = unadopted.pop()
+    def died(pid: int, position: int) -> WorkerDied:
+        _, status = os.waitpid(pid, 0)
+        unreaped.discard(pid)
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return WorkerDied(f"worker process {pid} {how} during item {position}")
 
-    def ask(position: int, item: T) -> R | SpeechAugError:
-        pid, tasks, results = adopted.child
-        try:
-            _send(tasks, item)
-            ok, outcome = pickle.load(results)
-        except (BrokenPipeError, EOFError, pickle.UnpicklingError):
-            # a pipe that closed, also part way through an answer
-            _, status = os.waitpid(pid, 0)
-            unreaped.discard(pid)
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-            raise WorkerDied(f"worker process {pid} {how} during item {position}") from None
-        if not ok:
-            raise outcome
-        return outcome
-
-    pool = None
     try:
-        # every fork comes before the pool's first thread: forking is safe
-        # only while the caller runs no other Python thread; OpenBLAS, the
-        # one native pool in the process, restarts its threads in the child
-        # by itself; numpy is loaded first, so that the children inherit it
-        # instead of each importing it again
-        if processes:
-            np.ndarray
-        for _ in range(workers if processes else 0):
+        # forking is safe only while the caller runs no other Python thread,
+        # and this mode starts none; OpenBLAS, the one native pool in the
+        # process, restarts its threads in the child by itself; numpy is
+        # loaded first, so that the children inherit it instead of each
+        # importing it again
+        np.ndarray
+        for _ in range(workers):
             children.append(_fork(attempt, children))
             unreaped.add(children[-1][0])
-        unadopted = list(children)
-        pool = ThreadPoolExecutor(workers, initializer=adopt if processes else None)
-        run = ask if processes else lambda position, item: attempt(item)
-        pending: deque[Future] = deque()
-        for position, item in enumerate(chain(first, items), 1):
-            pending.append(pool.submit(run, position, item))
-            if len(pending) == _AHEAD * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        # a child holds one item at a time, so its answer pipe never holds a
+        # second answer behind the bytes a buffered read took in: a readable
+        # pipe is an answer, or the end of file a child that died leaves
+        idle = children.copy()
+        # outcomes in ahead of their turn, as (True, outcome) or (False, exception)
+        done: dict[int, tuple[bool, object]] = {}
+        numbered = enumerate(items, 1)
+        pulled = yielded = 0
+        # poll, not epoll: the pipes waited on change with every item, and
+        # epoll would make two system calls for each change
+        with selectors.PollSelector() as selector:
+            while True:
+                # each idle child gets its next item before an outcome is yielded
+                room = min(len(idle), yielded + _AHEAD * workers - pulled)
+                for pulled, item in islice(numbered, room):
+                    _, tasks, results = child = idle.pop()
+                    # a child that died while idle shows as end of file below
+                    with contextlib.suppress(BrokenPipeError):
+                        _send(tasks, item)
+                    selector.register(results, selectors.EVENT_READ, (child, pulled))
+                if yielded + 1 in done:
+                    yielded += 1
+                    ok, outcome = done.pop(yielded)
+                    if not ok:
+                        raise outcome  # type: ignore[misc]
+                    yield outcome  # type: ignore[misc]
+                elif selector.get_map():
+                    for key, _ in selector.select():
+                        selector.unregister(key.fileobj)
+                        child, position = key.data
+                        try:
+                            done[position] = pickle.load(key.fileobj)
+                        except (EOFError, pickle.UnpicklingError):
+                            # a pipe that closed, also part way through an answer
+                            done[position] = (False, died(child[0], position))
+                        else:
+                            idle.append(child)
+                else:
+                    return
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        for pid in unreaped:
-            os.kill(pid, signal.SIGKILL)
-        for pid in unreaped:
-            os.waitpid(pid, 0)
+        # a child waiting for an item reads end of file and exits; one still
+        # running its item finishes it, fails to send the answer and exits
         for _, tasks, results in children:
             results.close()
             # what a child that died left unread is dropped
             with contextlib.suppress(BrokenPipeError):
                 tasks.close()
+        for pid in unreaped:
+            os.waitpid(pid, 0)
 
 
 def map_to_index(
@@ -376,6 +406,9 @@ class _LineProcess:
         if not command:
             raise ValueError("command must not be empty")
         self.command = tuple(command)
+        # only an engine needs a subprocess, so only it loads the module
+        import subprocess
+
         try:
             self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as err:
@@ -384,9 +417,13 @@ class _LineProcess:
 
     def request(self, *fields: str) -> str:
         """Send ``fields``, each whitespace-flattened, as one tab-separated
-        UTF-8 line, and return the answer line. An answer that is not UTF-8
-        raises PortError; the next request reads the next line."""
-        line = ("\t".join(" ".join(field.split()) for field in fields) + "\n").encode("utf-8")
+        UTF-8 line, and return the answer line. A field that is not valid
+        UTF-8 raises PortError before anything is sent. An answer that is
+        not UTF-8 raises PortError too; the next request reads the next line."""
+        try:
+            line = ("\t".join(" ".join(field.split()) for field in fields) + "\n").encode("utf-8")
+        except UnicodeEncodeError as err:  # a lone surrogate
+            raise PortError(f"cannot send a request to {self.command[0]}: {err}") from None
         proc = self._proc
         assert proc.stdin is not None and proc.stdout is not None
         with self._lock:
@@ -408,6 +445,8 @@ class _LineProcess:
         A child still running ``_EXIT_TIMEOUT_S`` later is killed, and
         raises ``PortError``.
         """
+        import subprocess
+
         proc = self._proc
         assert proc.stdin is not None and proc.stdout is not None
         # a child that already exited can fail the final flush; the pipe is

@@ -1093,6 +1093,40 @@ LINGERING_ENGINE = """
 """
 
 
+@pytest.mark.parametrize(
+    "option", ["textaug --language", "textaug --to", "build --src-lang", "build --tgt-lang"]
+)
+def test_language_that_is_not_utf8_is_a_usage_error(tmp_path, option):
+    # argv bytes that are not UTF-8 reach Python as a lone surrogate, which
+    # no engine could be sent; the option is refused before an engine starts
+    command, flag = option.split()
+    started = tmp_path / "engine_started"
+    engine = "subprocess:" + shlex.join([sys.executable, "-c", f"open({str(started)!r}, 'w')"])
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("good morning\n")
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_tsv([TextPair("p0", "good morning", "guten morgen")], pairs)
+    out_dir = tmp_path / "out"
+    options = {
+        "textaug": {"--in": corpus, "--language": "en", "--to": "de", "--translator": engine},
+        "build": {"--pairs": pairs, "--seed": 1, "--units-k": 50, "--synthesizer": engine},
+    }[command]
+    argv = [command, "--out", str(out_dir)]
+    for name, value in options.items():
+        argv += [name, str(value)]
+    argv = [arg.encode() for arg in argv] + [flag.encode(), b"\xff"]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    run = subprocess.run(
+        [sys.executable.encode(), b"-m", b"speechaug.cli", *argv],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr == f"error: argument {flag}: expected UTF-8 text, got '\\udcff'\n".encode()
+    assert not started.exists()
+    assert not out_dir.exists()
+
+
 # echoes each sentence; run it with -X utf8, so that its pipes are UTF-8
 ECHO_ENGINE = """
     import sys

@@ -1,5 +1,6 @@
 """numpy is imported at the first array operation, not with the package,
-and hashlib (with the OpenSSL library it loads) not at all.
+hashlib (with the OpenSSL library it loads) not at all, and subprocess and
+the thread pool only by a run that starts an engine or runs threads.
 
 Each check runs in a fresh interpreter, since this one has numpy imported
 already.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -271,3 +273,85 @@ def test_every_subcommand_runs_with_hashlib_blocked(tmp_path):
     assert json.loads(stdout[0]) == {"processed": 4, "failed": 0}
     assert len(stdout[4].split()) == 50
     assert len(files) == 4 + 1 + 4 + 1 + 2  # augment's WAVs and traces, build's, textaug's
+
+
+# subprocess and the thread pool: a None entry makes every later import of
+# either raise ImportError
+_BLOCK_POOLS = "import sys; sys.modules['subprocess'] = None; sys.modules['concurrent.futures'] = None; "
+
+# which of the two were imported, at exit, and room for two forked workers
+_REPORT_POOLS = (
+    "import atexit, os, sys; os.cpu_count = lambda: 4; "
+    "atexit.register(lambda: print([name for name in ('subprocess', 'concurrent.futures')"
+    " if sys.modules.get(name) is not None], file=sys.stderr)); "
+)
+
+
+def test_augment_and_mock_runs_load_no_subprocess_and_no_thread_pool(tmp_path):
+    # augment's forked workers are driven from the caller's thread, and the
+    # mocks at one worker run serially
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_tsv(
+        [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(4)], pairs
+    )
+    noise = tmp_path / "noise"
+    noise.mkdir()
+    for entry in make_noise_bank(3, 16000, np.random.default_rng(7)).entries:
+        save_wav(entry.buffer, noise / f"{entry.id}.wav", encoding="float32")
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for i in range(5):
+        save_wav(make_sine(300.0 + 40.0 * i, 0.3, 16000), inputs / f"utt{i}.wav")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"sentence number {i} is here\n" for i in range(6)))
+    runs = {}
+    for label, prelude in (("blocked", _BLOCK_POOLS + _REPORT_POOLS), ("free", _REPORT_POOLS)):
+        out = tmp_path / label
+        commands = [
+            ("augment", "--in", str(inputs), "--out", str(out / "augment"), "--seed", "3",
+             "--noise-dir", str(noise), "--workers", "2"),
+            ("build", "--pairs", str(pairs), "--out", str(out / "build"), "--seed", "3",
+             "--units-k", "50", "--noise-dir", str(noise), "--augment-target", "--workers", "1"),
+            ("textaug", "--in", str(corpus), "--out", str(out / "text"), "--language", "en",
+             "--to", "xx"),
+        ]
+        stdout = []
+        for argv in commands:
+            result = run_python(prelude + _MAIN, *argv)
+            assert (result.returncode, result.stderr) == (0, "[]\n"), (argv[0], result.stderr)
+            stdout.append(result.stdout.replace(str(out), "OUT"))
+        files = {
+            str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        runs[label] = (stdout, files)
+    assert runs["blocked"] == runs["free"]
+    stdout, files = runs["free"]
+    assert json.loads(stdout[0]) == {"processed": 5, "failed": 0}
+    assert len(files) == 5 + 1 + 4 + 1 + 2  # augment's WAVs and traces, build's, textaug's
+
+
+# answers every request with the path in its first argument
+_ONE_WAV_ENGINE = "import sys\nfor line in sys.stdin:\n    print(sys.argv[1], flush=True)\n"
+
+
+def test_an_engine_and_build_threads_load_both(tmp_path):
+    # the guard above is not vacuous: build at two workers runs a thread
+    # pool, and a subprocess synthesizer starts its engine
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_tsv(
+        [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(4)], pairs
+    )
+    wav = tmp_path / "tone.wav"
+    save_wav(make_sine(440.0, 0.2, 16000), wav)
+    engine = tmp_path / "engine.py"
+    engine.write_text(_ONE_WAV_ENGINE)
+    out = tmp_path / "out"
+    result = run_python(
+        _REPORT_POOLS + _MAIN, "build", "--pairs", str(pairs), "--out", str(out), "--seed", "3",
+        "--units-k", "50", "--no-effects", "--workers", "2",
+        "--synthesizer", f"subprocess:{shlex.join([sys.executable, str(engine), str(wav)])}",
+    )
+    assert (result.returncode, result.stderr) == (0, "['subprocess', 'concurrent.futures']\n")
+    assert len((out / "manifest.jsonl").read_text().splitlines()) == 1 + 4

@@ -269,6 +269,14 @@ class TestSubprocessTranslator:
         with SubprocessTranslator(cmd) as port:
             assert port.translate("two\nlines", "en", "de") == "de:TWO LINES"
 
+    def test_field_that_is_not_utf8_raises_port_error_and_sends_nothing(self, tmp_path):
+        # a lone surrogate, as argv bytes that are not UTF-8 become
+        cmd = write_child(tmp_path, "mt.py", TRANSLATOR_CHILD)
+        with SubprocessTranslator(cmd) as port:
+            with pytest.raises(PortError, match="surrogates not allowed"):
+                port.translate("good morning", "\udcff", "de")
+            assert port.translate("next call", "en", "de") == "de:NEXT CALL"
+
     def test_child_death_raises_port_error(self, tmp_path):
         cmd = write_child(tmp_path, "once.py", ONE_SHOT_CHILD)
         with SubprocessTranslator(cmd) as port:
@@ -490,6 +498,13 @@ class TestOrderedMap:
 
         outcomes = list(ordered_map(fn, range(6), 1000, processes=processes))
         assert len(set(outcomes)) <= 2
+
+    def test_processes_start_no_thread(self):
+        # the caller's thread drives the children itself
+        threads = threading.active_count()
+        for i, outcome in enumerate(ordered_map(lambda i: i, range(200), 4, processes=True)):
+            assert outcome == i
+            assert threading.active_count() == threads
 
     def test_more_indices_than_a_pipe_holds(self):
         # 20,000 pickled items are more than a 64 KiB pipe buffer holds: a
