@@ -7,6 +7,8 @@ translation through pluggable ports, pair filtering, speech synthesis and
 discrete-unit reduction).
 """
 
+from types import ModuleType as _Module
+
 from .audio import AudioBuffer, load_wav, resample, save_wav
 from .chain import (
     AppliedTrace,
@@ -92,78 +94,7 @@ from .textpipe import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AppliedTrace",
-    "AudioBuffer",
-    "BuildOutcome",
-    "ChainConfig",
-    "ChainStageError",
-    "CleanResult",
-    "CutoffAboveNyquist",
-    "EffectSpec",
-    "EmptyAudio",
-    "EmptyCorpus",
-    "EmptyNoiseBank",
-    "EmptyText",
-    "FactorOutOfRange",
-    "FilterPolicy",
-    "IoFailure",
-    "LengthMismatch",
-    "MalformedManifest",
-    "MalformedText",
-    "MalformedWav",
-    "ManifestRecord",
-    "MixReport",
-    "MockRejected",
-    "MockSynthesizer",
-    "MockTranslator",
-    "MockUnitizer",
-    "NoiseBank",
-    "NoiseEntry",
-    "PortError",
-    "RejectReason",
-    "RejectionStats",
-    "SamplerConfig",
-    "SpeechAugError",
-    "StageTrace",
-    "SubprocessSynthesizer",
-    "SubprocessTranslator",
-    "SynthesizerPort",
-    "TextCorpus",
-    "TextPair",
-    "TranslatorPort",
-    "UnitSequence",
-    "UnitizerPort",
-    "UnsupportedEncoding",
-    "WorkerDied",
-    "ZeroNoisePower",
-    "apply_chain",
-    "apply_lowpass",
-    "apply_pitch",
-    "apply_speed",
-    "build_manifest",
-    "clean_sentence",
-    "compute_snr",
-    "corpus_stats",
-    "default_chain",
-    "filter_pair",
-    "iter_lines",
-    "iter_manifest",
-    "iter_text_stage",
-    "load_chain",
-    "load_wav",
-    "mix_noise",
-    "read_manifest",
-    "read_pairs_tsv",
-    "reduce_units",
-    "replay_trace",
-    "resample",
-    "reservoir_take",
-    "run_text_stage",
-    "sample_stream",
-    "save_chain",
-    "save_wav",
-    "utterance_seed",
-    "write_manifest",
-    "write_pairs_tsv",
-]
+# every public name imported above; the submodules those imports bind are not
+__all__ = sorted(
+    name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _Module)
+)

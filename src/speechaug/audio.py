@@ -18,7 +18,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._numpy import np
 from .errors import EmptyAudio, IoFailure, MalformedWav, UnsupportedEncoding
@@ -94,6 +94,11 @@ class AudioBuffer:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a copy that crossed a pipe to a
+        # worker owns its samples and marks them read-only, as every buffer does
+        return AudioBuffer, (self.samples, self.sample_rate)
 
     @property
     def duration_seconds(self) -> float:
@@ -220,11 +225,8 @@ def save_wav(buffer: AudioBuffer, path: str | Path, encoding: str = "float32") -
         header += b"fact" + struct.pack("<II", 4, len(buffer))
     header += b"data" + struct.pack("<I", payload.nbytes)
     riff = b"RIFF" + struct.pack("<I", len(header) + payload.nbytes)
-    try:
-        # the file's bytes are the one copy of the payload
-        _write_file(path, b"".join((riff, header, payload.data)))
-    except OSError as err:
-        raise IoFailure(f"could not write {path}: {err}") from err
+    # the file's bytes are the one copy of the payload
+    _write_file(path, b"".join((riff, header, payload.data)))
 
 
 def _write_file(path: str | Path, content: bytes | Iterable[str]) -> None:
@@ -234,16 +236,31 @@ def _write_file(path: str | Path, content: bytes | Iterable[str]) -> None:
     ``path`` is never seen partly written; on any exception the partial file
     is removed. No fsync: this guards against a failed or killed process,
     not a power loss.
+
+    An ``OSError`` of the file itself (its open, a write, its rename) raises
+    ``IoFailure`` naming ``path``; what ``content`` raises passes as it is.
     """
     path = Path(path)
     partial = path.with_name(f".{path.name}.partial")
     binary = isinstance(content, bytes)
+    from_content = False
+
+    def chunks() -> Iterator[bytes | str]:
+        nonlocal from_content
+        try:
+            yield from [content] if binary else content  # type: ignore[misc]
+        except OSError:
+            from_content = True
+            raise
+
     try:
         with open(partial, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
-            fh.writelines([content] if binary else content)
+            fh.writelines(chunks())
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as err:
         partial.unlink(missing_ok=True)
+        if isinstance(err, OSError) and not from_content:
+            raise IoFailure(f"could not write {path}: {err}") from err
         raise
 
 

@@ -126,10 +126,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
     # each item is a pure function of its path, the chain and the bank
     traces, failures = map_to_index(
-        process, files, args.workers, out_dir / "traces.jsonl", processes=True
+        process, files, args.workers, out_dir / "traces.jsonl",
+        name=lambda path: path.name, processes=True,
     )
     _write_summary(json.dumps({"processed": len(traces), "failed": len(failures)}))
-    return _report_failures([(path.name, err) for path, err in failures], len(files), "files")
+    return _report_failures(failures, len(files), "files")
 
 
 def _report_failures(failures: list[tuple[str, SpeechAugError]], total: int, noun: str) -> int:
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tgt-lang", type=_utf8, default="tgt")
     p.add_argument("--origin", default="text_aug", choices=["real", "text_aug"])
     p.add_argument("--no-augment-source", action="store_true")
-    p.add_argument("--workers", type=_positive_int, default=1, help="worker threads")
+    p.add_argument("--workers", type=_positive_int, default=1, help="worker processes for the chain")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("sample", help="stream record ids drawn by origin weights")
@@ -416,8 +417,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    # an OSError here is a run-level output (traces.jsonl, stats.json,
-    # pairs.tsv, the manifest) that cannot be written; WAV writes fail alone
+    # an IoFailure here is a run-level output (traces.jsonl, stats.json,
+    # pairs.tsv, the manifest) that cannot be written, and names it; WAV
+    # writes fail alone. Any other OSError is an input or a directory's
     except (CliError, SpeechAugError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

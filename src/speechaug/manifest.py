@@ -18,12 +18,12 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from ._jsonfields import fields as json_fields
 from ._pcg64 import PCG64
-from .audio import _write_file, save_wav
-from .chain import ChainConfig, apply_chain
+from .audio import AudioBuffer, _write_file, save_wav
+from .chain import ChainConfig, apply_chain, needs_bank
 from .effects import NoiseBank
 from .errors import EmptyCorpus, MalformedManifest, MalformedText, SpeechAugError
 from .ports import SynthesizerPort, UnitizerPort, UnitSequence, map_to_index, reduce_units
@@ -213,8 +213,12 @@ class BuildOutcome:
     failures: list[tuple[str, SpeechAugError]]
 
 
+# A pair and its spoken source and target, or the error that speaking it raised.
+_Spoken = tuple[TextPair, "list[AudioBuffer] | SpeechAugError"]
+
+
 def build_manifest(
-    pairs: Sequence[TextPair],
+    pairs: Iterable[TextPair],
     synthesizer: SynthesizerPort,
     unitizer: UnitizerPort,
     out_dir: str | Path,
@@ -228,34 +232,62 @@ def build_manifest(
     augment_target: bool = False,
     workers: int = 1,
 ) -> BuildOutcome:
-    """Synthesize, optionally perturb, unitize and index a pair list.
+    """Synthesize, optionally perturb, unitize and index pairs.
 
-    For each pair the source sentence is spoken, run through the chain
-    (when one is given; the chain is seeded per record id, so worker count
-    and ordering cannot change any output), and written to
-    ``out_dir/audio/<id>.wav``; the target sentence is spoken and collapsed
-    into reduced units. Records are written to the manifest in pair order,
-    as they are done.
+    Both sentences of each pair are spoken here, in pair order. The source
+    is run through the chain (when one is given; it is seeded per record
+    id, so worker count and ordering cannot change any output) and written
+    to ``out_dir/audio/<id>.wav``; the target, perturbed too with
+    ``augment_target``, is collapsed into reduced units. Records are
+    written to the manifest in pair order, as they are done.
+
+    When a chain runs, all but the speaking runs in up to ``workers``
+    forked processes while later pairs are spoken, with the bank converted
+    to the synthesizer's rate before the fork. A build with no chain runs
+    here alone: a pair's unitizing and write cost less than its trip to a
+    worker.
 
     Any ``SpeechAugError`` raised while one pair is processed (a port
     failure, an effect failure, a write failure) makes that pair a failure:
     it is reported in the outcome as ``(pair id, error)``, in pair order,
-    and left out of the manifest. Nothing is logged here; reporting is the
-    caller's.
+    and left out of the manifest. Any other exception propagates, and
+    leaves no manifest. Nothing is logged here; reporting is the caller's.
     """
     out_path = Path(out_dir)
     audio_dir = out_path / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)
+    source_chain = chain if augment_source else None
+    # target perturbation happens before unitization so the units describe
+    # the audio the model will actually hear
+    target_chain = chain if augment_target else None
+    if source_chain is None and target_chain is None:
+        workers = 1
+    elif bank is not None and needs_bank(chain):
+        # the workers inherit the converted bank, and none converts it again
+        bank.at_rate(synthesizer.sample_rate)
 
-    def build_one(pair: TextPair) -> ManifestRecord:
-        source_audio = synthesizer.synthesize(pair.source, src_lang)
-        target_audio = synthesizer.synthesize(pair.target, tgt_lang)
-        if chain is not None and augment_source:
-            source_audio, _ = apply_chain(chain, source_audio, f"{pair.id}:src", bank)
-        if chain is not None and augment_target:
-            # target perturbation happens before unitization so the units
-            # describe the audio the model will actually hear
-            target_audio, _ = apply_chain(chain, target_audio, f"{pair.id}:tgt", bank)
+    def speak(pair: TextPair) -> _Spoken:
+        try:
+            return pair, [
+                synthesizer.synthesize(pair.source, src_lang),
+                synthesizer.synthesize(pair.target, tgt_lang),
+            ]
+        except SpeechAugError as err:
+            # the pair's failure, which build_one raises in its turn
+            return pair, err
+
+    def build_one(job: _Spoken) -> ManifestRecord:
+        pair, audio = job
+        if isinstance(audio, SpeechAugError):
+            raise audio
+        source_audio, target_audio = audio
+        # the caller holds the job until this returns: emptied, it lets the
+        # spoken source go once the chain has run on it
+        audio.clear()
+        if source_chain is not None:
+            source_audio, _ = apply_chain(source_chain, source_audio, f"{pair.id}:src", bank)
+        if target_chain is not None:
+            target_audio, _ = apply_chain(target_chain, target_audio, f"{pair.id}:tgt", bank)
         units = reduce_units(unitizer.unitize(target_audio))
         save_wav(source_audio, audio_dir / f"{pair.id}.wav", encoding="float32")
         return ManifestRecord(
@@ -269,8 +301,12 @@ def build_manifest(
         )
 
     manifest_path = out_path / "manifest.jsonl"
-    records, failures = map_to_index(build_one, pairs, workers, manifest_path, header=_HEADER)
-    return BuildOutcome(manifest_path, records, [(pair.id, err) for pair, err in failures])
+    records, failures = map_to_index(
+        # map keeps no pair's audio once it has passed it on
+        build_one, map(speak, pairs), workers, manifest_path,
+        name=lambda job: job[0].id, header=_HEADER, processes=True,
+    )
+    return BuildOutcome(manifest_path, records, failures)
 
 
 def _float64_sum(values: Sequence[float]) -> float:

@@ -16,6 +16,7 @@ import os
 import pickle
 import selectors
 import threading
+import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -196,15 +197,21 @@ def ordered_map(
     the generator is closed early, the items not started are dropped and
     those running are waited for.
 
-    ``processes`` suits an ``fn`` that is a pure function of its item and
-    of state set up before the call, such as a chain and a noise bank:
-    each child is forked from the caller, so nothing ``fn`` changes in
-    memory comes back, only its result or its exception. Items, results
-    and exceptions travel pickled. The children are forked with numpy
-    loaded, and the caller's thread drives them itself, starting no thread:
-    it sends each idle child the next item, one item in flight per child,
-    and waits on their answer pipes together. A child that dies raises
-    ``WorkerDied``, and no child outlives the generator.
+    Threads suit an ``fn`` that waits, such as a call to an engine;
+    ``textpipe.iter_text_stage`` is their one user. ``processes`` suits an
+    ``fn`` that computes in Python, and is a pure function of its item and
+    of state set up before the call, such as a chain and a noise bank
+    (``augment`` and ``build`` run their chains so): each child is forked
+    from the caller, so nothing ``fn`` changes in memory comes back, only
+    its result or its exception. Items, results and exceptions travel
+    pickled, and ``items`` is still pulled in the caller, so work such as
+    synthesis done while pulling overlaps the children's. The children are
+    forked with numpy loaded, and hold no end of an engine's pipes. The
+    caller's thread drives them itself, starting no thread: it sends each
+    idle child the next item, one item in flight per child, pulls one more
+    item while they work, and waits on their answer pipes together. A
+    child that dies raises ``WorkerDied``, and no child outlives the
+    generator.
     """
 
     def attempt(item: T) -> R | SpeechAugError:
@@ -214,9 +221,10 @@ def ordered_map(
             return err
 
     items = iter(items)
-    first = list(islice(items, max(1, min(workers, os.cpu_count() or 1))))
+    first = deque(islice(items, max(1, min(workers, os.cpu_count() or 1))))
     workers = len(first)
-    items = chain(first, items)
+    # the items pulled to count the workers come first, each let go once taken
+    items = chain((first.popleft() for _ in range(workers)), items)
     if workers <= 1:
         yield from map(attempt, items)
         return
@@ -267,18 +275,28 @@ def ordered_map(
         done: dict[int, tuple[bool, object]] = {}
         numbered = enumerate(items, 1)
         pulled = yielded = 0
+        # the next (position, item), pulled before a child is idle to take it
+        ready: tuple[int, T] | None = None
         # poll, not epoll: the pipes waited on change with every item, and
         # epoll would make two system calls for each change
         with selectors.PollSelector() as selector:
             while True:
-                # each idle child gets its next item before an outcome is yielded
-                room = min(len(idle), yielded + _AHEAD * workers - pulled)
-                for pulled, item in islice(numbered, room):
-                    _, tasks, results = child = idle.pop()
-                    # a child that died while idle shows as end of file below
-                    with contextlib.suppress(BrokenPipeError):
-                        _send(tasks, item)
-                    selector.register(results, selectors.EVENT_READ, (child, pulled))
+                # each idle child gets its next item before an outcome is
+                # yielded; then one more item is pulled while the children
+                # work, so the first to finish need not wait for it
+                while idle or ready is None:
+                    if ready is None and pulled < yielded + _AHEAD * workers:
+                        ready = next(numbered, None)
+                    if ready is None:
+                        break
+                    pulled = ready[0]
+                    if idle:
+                        _, tasks, results = child = idle.pop()
+                        # a child that died while idle shows as end of file below
+                        with contextlib.suppress(BrokenPipeError):
+                            _send(tasks, ready[1])
+                        selector.register(results, selectors.EVENT_READ, (child, pulled))
+                        ready = None
                 if yielded + 1 in done:
                     yielded += 1
                     ok, outcome = done.pop(yielded)
@@ -311,27 +329,38 @@ def ordered_map(
 
 
 def map_to_index(
-    fn: Callable[[T], R], items: Sequence[T], workers: int, path: str | os.PathLike[str],
-    *, header: str = "", processes: bool = False,
-) -> tuple[list[R], list[tuple[T, SpeechAugError]]]:
+    fn: Callable[[T], R], items: Iterable[T], workers: int, path: str | os.PathLike[str],
+    *, name: Callable[[T], str], header: str = "", processes: bool = False,
+) -> tuple[list[R], list[tuple[str, SpeechAugError]]]:
     """``ordered_map(fn, items, workers, processes=processes)``, writing ``header``
     and then each result's ``to_json()`` line to ``path`` through ``_write_file``, in
-    input order as they come; the results and ``(item, error)`` failures, in input order."""
+    input order as they come; the results, and each failure as ``(name(item), error)``,
+    in input order.
+
+    ``items`` may be any iterable, and is read once: each item's name is taken
+    as ``ordered_map`` pulls it, and only the names of the items in flight
+    are kept."""
     results: list[R] = []
-    failures: list[tuple[T, SpeechAugError]] = []
+    failures: list[tuple[str, SpeechAugError]] = []
+    # ordered_map pulls each item before it yields that item's outcome
+    names: deque[str] = deque()
+
+    def named(item: T) -> T:
+        names.append(name(item))
+        return item
 
     def lines(outcomes: Iterator[R | SpeechAugError]) -> Iterator[str]:
         yield header
-        # items is read a second time here, so it must be a sequence
-        for item, outcome in zip(items, outcomes):
+        for outcome in outcomes:
+            item_name = names.popleft()
             if isinstance(outcome, SpeechAugError):
-                failures.append((item, outcome))
+                failures.append((item_name, outcome))
             else:
                 results.append(outcome)
                 yield outcome.to_json() + "\n"  # type: ignore[attr-defined]
 
     # a failed write also stops the workers, before its error goes on
-    with contextlib.closing(ordered_map(fn, items, workers, processes=processes)) as outcomes:
+    with contextlib.closing(ordered_map(fn, map(named, items), workers, processes=processes)) as outcomes:
         _write_file(path, lines(outcomes))
     return results, failures
 
@@ -374,10 +403,15 @@ def _fork(
         code = 1
         try:
             # a child keeps only its own two pipe ends, not the parent's
-            # ends of its siblings' pipes
+            # ends of its siblings' pipes, nor of any engine's: an engine
+            # whose input a worker held open would never see its end
             for _, tasks, results in siblings:
                 os.close(tasks.fileno())
                 os.close(results.fileno())
+            for engine in _engines:
+                for pipe in (engine._proc.stdin, engine._proc.stdout):
+                    if pipe is not None and not pipe.closed:
+                        os.close(pipe.fileno())
             os.close(task_w)
             os.close(result_r)
             _serve(attempt, open(task_r, "rb"), open(result_w, "wb"))
@@ -391,6 +425,9 @@ def _fork(
 
 # Seconds an engine may take to exit once its input is closed.
 _EXIT_TIMEOUT_S = 10.0
+
+# Every engine of this process, whose pipe ends a forked worker closes.
+_engines: weakref.WeakSet[_LineProcess] = weakref.WeakSet()
 
 
 class _LineProcess:
@@ -414,6 +451,7 @@ class _LineProcess:
         except OSError as err:
             raise PortError(f"cannot start {self.command[0]}: {err}") from err
         self._lock = threading.Lock()
+        _engines.add(self)
 
     def request(self, *fields: str) -> str:
         """Send ``fields``, each whitespace-flattened, as one tab-separated
@@ -429,8 +467,11 @@ class _LineProcess:
         with self._lock:
             if proc.poll() is not None:
                 raise PortError(f"{self.command[0]} exited with code {proc.returncode}")
-            proc.stdin.write(line)
-            proc.stdin.flush()
+            try:
+                proc.stdin.write(line)
+                proc.stdin.flush()
+            except BrokenPipeError:
+                raise PortError(f"{self.command[0]} closed its stdin mid-conversation") from None
             response = proc.stdout.readline()
         if not response:
             raise PortError(f"{self.command[0]} closed its stdout mid-conversation")

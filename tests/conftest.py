@@ -9,11 +9,21 @@ echo the implementation.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from speechaug import AudioBuffer, NoiseBank, NoiseEntry
+
+
+def tree_bytes(directory: Path) -> dict[str, bytes]:
+    """Every file under ``directory``, by relative path, with its bytes."""
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
 
 
 def make_sine(freq: float, duration: float, sample_rate: int, amplitude: float = 0.5) -> AudioBuffer:

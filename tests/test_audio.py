@@ -544,9 +544,9 @@ class TestWriteFile:
         "write, error",
         [
             (write_wav, IoFailure),
-            (write_manifest_file, OSError),
-            (write_chain_file, OSError),
-            (write_pairs_file, OSError),
+            (write_manifest_file, IoFailure),
+            (write_chain_file, IoFailure),
+            (write_pairs_file, IoFailure),
             (write_traces_file, CliFailed),
             (write_stats_file, CliFailed),
         ],
@@ -581,3 +581,15 @@ class TestWriteFile:
             write_pairs_tsv(pairs(), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv"]
+
+    def test_an_os_error_of_the_content_is_not_named_a_failed_write(self, tmp_path):
+        # an input that cannot be read, say; only the file's own errors are
+        # raised as IoFailure
+        def lines():
+            yield "one\n"
+            raise OSError(5, "Input/output error")
+
+        with pytest.raises(OSError) as info:
+            audio._write_file(tmp_path / "out.txt", lines())
+        assert type(info.value) is OSError
+        assert list(tmp_path.iterdir()) == []

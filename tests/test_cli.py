@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -30,9 +31,10 @@ from speechaug import cli, ports
 from speechaug.chain import apply_chain
 from speechaug.cli import main
 
-from conftest import make_sine
+from conftest import make_sine, tree_bytes
 from test_audio import wav_bytes
 from test_manifest import record
+from test_lazy_numpy import _MAIN, run_python
 from test_ports import assert_reaped
 
 
@@ -81,14 +83,6 @@ def write_non_finite_wav(path: Path) -> Path:
 
 def dir_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
-
-
-def tree_bytes(directory: Path) -> dict[str, bytes]:
-    return {
-        str(p.relative_to(directory)): p.read_bytes()
-        for p in sorted(directory.rglob("*"))
-        if p.is_file()
-    }
 
 
 class TestAugment:
@@ -154,8 +148,34 @@ class TestAugment:
         ]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: [Errno 21] Is a directory")
+        assert err[0].startswith(f"error: could not write {out_dir / 'traces.jsonl'}: [Errno 21] Is a directory")
         assert not (out_dir / ".traces.jsonl.partial").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_an_index_write_past_the_file_size_limit_names_its_file(self, tmp_path, workers):
+        # a child interpreter limits the size of the files it writes, and
+        # ignores SIGXFSZ, so a write past the limit fails with EFBIG: every
+        # WAV fits, traces.jsonl does not
+        pytest.importorskip("resource")
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        for i in range(40):
+            save_wav(make_sine(300.0 + 10.0 * i, 0.02, 16000), in_dir / f"utt{i}.wav")
+        out_dir = tmp_path / "out"
+        limit = (
+            "import os, resource, signal, sys; os.cpu_count = lambda: 2; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096)); "
+        )
+        result = run_python(
+            limit + _MAIN, "augment", "--in", str(in_dir), "--out", str(out_dir), "--seed", "5",
+            "--config", str(write_identity_config(tmp_path / "chain.json")), "--workers", workers,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.splitlines() == [
+            f"error: could not write {out_dir / 'traces.jsonl'}: [Errno {errno.EFBIG}] File too large"
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"utt{i}.wav" for i in range(40))
 
     def test_partial_failure_exit_code(self, tmp_path, capsys):
         in_dir = tmp_path / "in"
@@ -618,7 +638,7 @@ class TestTextaug:
         ]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: [Errno 21] Is a directory")
+        assert err[0].startswith(f"error: could not write {out_dir / 'stats.json'}: [Errno 21] Is a directory")
         assert not (out_dir / ".stats.json.partial").exists()
 
     def test_reversal_shows_up_in_pairs(self, tmp_path, capsys):
@@ -1052,7 +1072,7 @@ class TestBuild:
         assert mentions[0].startswith("ERROR speechaug: failed: p00000001: ")
 
     def test_non_finite_engine_audio_is_one_failed_pair(self, tmp_path, capsys, monkeypatch):
-        # two build threads even on a one-CPU box
+        # a build with no chain runs in one process at --workers 2 as well
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         engine = tmp_path / "engine.py"
         engine.write_text(textwrap.dedent(NON_FINITE_ENGINE))

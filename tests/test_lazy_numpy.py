@@ -1,6 +1,7 @@
 """numpy is imported at the first array operation, not with the package,
-hashlib (with the OpenSSL library it loads) not at all, and subprocess and
-the thread pool only by a run that starts an engine or runs threads.
+hashlib (with the OpenSSL library it loads) not at all, subprocess only by
+a run that starts an engine, and the thread pool only by the text stage
+with more than one translation in flight.
 
 Each check runs in a fresh interpreter, since this one has numpy imported
 already.
@@ -149,13 +150,19 @@ def test_build_needs_numpy(tmp_path):
     assert "ModuleNotFoundError: import of numpy halted" in result.stderr
 
 
-def test_augment_workers_inherit_numpy_from_the_parent(tmp_path):
-    # a speed-only chain needs no bank, so no array is made before the fork
-    config = tmp_path / "speed.json"
+def speed_config(directory: Path) -> Path:
+    """A speed-only chain, which needs no bank."""
+    config = directory / "speed.json"
     config.write_text(json.dumps({
         "global_seed": 0,
         "specs": [{"kind": "speed", "probability": 1.0, "param_range": [0.95, 1.05]}],
     }))
+    return config
+
+
+def test_augment_workers_inherit_numpy_from_the_parent(tmp_path):
+    # a speed-only chain needs no bank, so no array is made before the fork
+    config = speed_config(tmp_path)
     inputs = tmp_path / "in"
     inputs.mkdir()
     for i in range(3):
@@ -167,6 +174,25 @@ def test_augment_workers_inherit_numpy_from_the_parent(tmp_path):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"processed": 3, "failed": 0}
     assert result.stderr.splitlines() == ["[True, True]"]
+
+
+def test_only_a_build_with_a_chain_forks_workers(tmp_path):
+    # a chain runs in two workers forked with numpy; a build with no chain
+    # runs in one process whatever --workers says
+    pairs = tmp_path / "pairs.tsv"
+    write_pairs_tsv(
+        [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(3)], pairs
+    )
+    forks = []
+    for effects in (["--augment-target", "--no-augment-source"], ["--no-effects"]):
+        result = run_python(
+            _WATCH_FORKS + _MAIN, "build", "--pairs", str(pairs), "--out", str(tmp_path / effects[-1]),
+            "--seed", "1", "--units-k", "50", "--config", str(speed_config(tmp_path)), "--workers", "2",
+            *effects,
+        )
+        assert result.returncode == 0, result.stderr
+        forks.append(result.stderr)
+    assert forks == ["[True, True]\n", "[]\n"]
 
 
 def test_build_and_augment_run_with_numpy_random_blocked(tmp_path):
@@ -288,8 +314,8 @@ _REPORT_POOLS = (
 
 
 def test_augment_and_mock_runs_load_no_subprocess_and_no_thread_pool(tmp_path):
-    # augment's forked workers are driven from the caller's thread, and the
-    # mocks at one worker run serially
+    # augment's and build's forked workers are driven from the caller's
+    # thread, and a build with no chain runs serially at any worker count
     pairs = tmp_path / "pairs.tsv"
     write_pairs_tsv(
         [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(4)], pairs
@@ -311,7 +337,9 @@ def test_augment_and_mock_runs_load_no_subprocess_and_no_thread_pool(tmp_path):
             ("augment", "--in", str(inputs), "--out", str(out / "augment"), "--seed", "3",
              "--noise-dir", str(noise), "--workers", "2"),
             ("build", "--pairs", str(pairs), "--out", str(out / "build"), "--seed", "3",
-             "--units-k", "50", "--noise-dir", str(noise), "--augment-target", "--workers", "1"),
+             "--units-k", "50", "--noise-dir", str(noise), "--augment-target", "--workers", "2"),
+            ("build", "--pairs", str(pairs), "--out", str(out / "plain"), "--seed", "3",
+             "--units-k", "50", "--no-effects", "--workers", "2"),
             ("textaug", "--in", str(corpus), "--out", str(out / "text"), "--language", "en",
              "--to", "xx"),
         ]
@@ -329,16 +357,17 @@ def test_augment_and_mock_runs_load_no_subprocess_and_no_thread_pool(tmp_path):
     assert runs["blocked"] == runs["free"]
     stdout, files = runs["free"]
     assert json.loads(stdout[0]) == {"processed": 5, "failed": 0}
-    assert len(files) == 5 + 1 + 4 + 1 + 2  # augment's WAVs and traces, build's, textaug's
+    # augment's WAVs and traces, each build's, textaug's
+    assert len(files) == 5 + 1 + 4 + 1 + 4 + 1 + 2
 
 
 # answers every request with the path in its first argument
 _ONE_WAV_ENGINE = "import sys\nfor line in sys.stdin:\n    print(sys.argv[1], flush=True)\n"
 
 
-def test_an_engine_and_build_threads_load_both(tmp_path):
-    # the guard above is not vacuous: build at two workers runs a thread
-    # pool, and a subprocess synthesizer starts its engine
+def test_an_engine_and_text_stage_threads_load_both(tmp_path):
+    # the guard above is not vacuous: a subprocess synthesizer starts its
+    # engine, and the text stage with two in flight runs a thread pool
     pairs = tmp_path / "pairs.tsv"
     write_pairs_tsv(
         [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(4)], pairs
@@ -353,5 +382,11 @@ def test_an_engine_and_build_threads_load_both(tmp_path):
         "--units-k", "50", "--no-effects", "--workers", "2",
         "--synthesizer", f"subprocess:{shlex.join([sys.executable, str(engine), str(wav)])}",
     )
-    assert (result.returncode, result.stderr) == (0, "['subprocess', 'concurrent.futures']\n")
+    assert (result.returncode, result.stderr) == (0, "['subprocess']\n")
     assert len((out / "manifest.jsonl").read_text().splitlines()) == 1 + 4
+    result = run_python(
+        _REPORT_POOLS + "from speechaug import MockTranslator, TextCorpus, run_text_stage; "
+        "pairs, _ = run_text_stage(TextCorpus(['one two', 'three four', 'five six'], 'en'),"
+        " MockTranslator(), 'xx', max_in_flight=2); print(len(pairs))"
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "3\n", "['concurrent.futures']\n")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 import textwrap
 import time
@@ -46,7 +48,7 @@ from speechaug import (
 
 from speechaug import manifest, textpipe
 
-from conftest import make_noise_bank
+from conftest import make_noise_bank, tree_bytes
 
 
 def record(
@@ -396,28 +398,28 @@ class TestBuildManifest:
             second = (tmp_path / "second" / rec.source_audio).read_bytes()
             assert hashlib.sha256(first).digest() == hashlib.sha256(second).digest()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # four forked workers even on a two-CPU box
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         chain = default_chain(global_seed=11)
         bank = make_noise_bank(3, 16000, np.random.default_rng(5))
         pairs = [
             TextPair(id=f"p{i:08d}", source=f"sentence number {i}", target=f"{i} number sentence")
             for i in range(12)
         ]
-        serial = build_manifest(
-            pairs, MockSynthesizer(), MockUnitizer(50), tmp_path / "w1",
-            chain=chain, bank=bank, workers=1,
-        )
-        threaded = build_manifest(
-            pairs, MockSynthesizer(), MockUnitizer(50), tmp_path / "w4",
-            chain=chain, bank=bank, workers=4,
-        )
-        assert serial.manifest_path.read_bytes() == threaded.manifest_path.read_bytes()
-        for rec in serial.records:
-            assert (tmp_path / "w1" / rec.source_audio).read_bytes() == (
-                tmp_path / "w4" / rec.source_audio
-            ).read_bytes()
+        trees = []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            outcome = build_manifest(
+                pairs, MockSynthesizer(), MockUnitizer(50), out,
+                chain=chain, bank=bank, augment_target=True, workers=workers,
+            )
+            assert [r.id for r in outcome.records] == [p.id for p in pairs]
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1] == trees[2]
 
-    def test_worker_count_does_not_change_subprocess_output(self, tmp_path):
+    def test_worker_count_does_not_change_subprocess_output(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         engine = tmp_path / "tts.py"
         engine.write_text(textwrap.dedent(TONE_ENGINE))
         chain = default_chain(global_seed=11)
@@ -426,23 +428,21 @@ class TestBuildManifest:
             TextPair(id=f"p{i:08d}", source=f"sentence number {i}", target=f"{i} number sentence")
             for i in range(12)
         ]
-        outcomes = []
-        for workers in (1, 4):
+        outcomes, trees = [], []
+        for workers in (1, 2, 4):
             out = tmp_path / f"w{workers}"
-            with SubprocessSynthesizer([sys.executable, str(engine), str(out / "engine")]) as synth:
+            with SubprocessSynthesizer([sys.executable, str(engine), str(tmp_path / "engine")]) as synth:
                 outcomes.append(
                     build_manifest(
-                        pairs, synth, MockUnitizer(50), out, chain=chain, bank=bank, workers=workers
+                        pairs, synth, MockUnitizer(50), out,
+                        chain=chain, bank=bank, augment_target=True, workers=workers,
                     )
                 )
-        serial, threaded = outcomes
-        assert serial.failures == threaded.failures == []
-        assert serial.records == threaded.records
-        assert serial.manifest_path.read_bytes() == threaded.manifest_path.read_bytes()
-        for rec in serial.records:
-            assert (tmp_path / "w1" / rec.source_audio).read_bytes() == (
-                tmp_path / "w4" / rec.source_audio
-            ).read_bytes()
+            trees.append(tree_bytes(out))
+        assert outcomes[0].failures == outcomes[1].failures == outcomes[2].failures == []
+        assert outcomes[0].records == outcomes[1].records == outcomes[2].records
+        assert len(trees[0]) == 1 + len(pairs)
+        assert trees[0] == trees[1] == trees[2]
 
     def test_port_failures_are_skipped_and_reported(self, tmp_path):
         pairs = some_pairs()
@@ -456,18 +456,34 @@ class TestBuildManifest:
         assert not (tmp_path / "audio" / f"{pairs[1].id}.wav").exists()
         assert len(read_manifest(outcome.manifest_path)) == 2
 
-    def test_failures_come_out_in_pair_order(self, tmp_path):
-        class SlowRefusal(MockSynthesizer):
-            # pair 0 sleeps longest, so threads finish in reverse pair order
-            def synthesize(self, sentence, language):
-                time.sleep(0.05 * (4 - int(sentence.split()[-1])))
-                raise PortError("refused by test double")
+    def test_failures_come_out_in_pair_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
-        pairs = [TextPair(id=f"p{i}", source=f"line {i}", target=f"{i}") for i in range(4)]
+        class SlowRefusal(MockUnitizer):
+            # runs in the workers: pair 0 sleeps longest, so they finish in
+            # reverse pair order, and every even pair is refused
+            def unitize(self, buffer):
+                number = round(buffer.duration_seconds / 0.05) - 1
+                time.sleep(0.05 * (6 - number))
+                if number % 2 == 0:
+                    raise PortError(f"unit {number} refused by test double")
+                return super().unitize(buffer)
+
+        # the synthesizer, in this process, refuses pair 3
+        pairs = [TextPair(id=f"p{i}", source=f"line {i}", target=f"{i:0{i + 1}d}") for i in range(6)]
+        pairs[3] = TextPair(id="p3", source="boom", target="0003")
         outcome = build_manifest(
-            pairs, SlowRefusal(), MockUnitizer(50), tmp_path, chain=None, workers=4
+            pairs, FailingSynthesizer(), SlowRefusal(50), tmp_path,
+            chain=ChainConfig((EffectSpec("speed", 1.0, (0.9, 0.9)),)), workers=4,
         )
-        assert [pair_id for pair_id, _ in outcome.failures] == ["p0", "p1", "p2", "p3"]
+        assert [(pair_id, str(err)) for pair_id, err in outcome.failures] == [
+            ("p0", "unit 0 refused by test double"),
+            ("p2", "unit 2 refused by test double"),
+            ("p3", "refused by test double"),
+            ("p4", "unit 4 refused by test double"),
+        ]
+        assert [r.id for r in outcome.records] == ["p1", "p5"]
+        assert [r.id for r in read_manifest(outcome.manifest_path)] == ["p1", "p5"]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_program_fault_leaves_no_manifest(self, tmp_path, workers):
@@ -480,6 +496,101 @@ class TestBuildManifest:
         with pytest.raises(ZeroDivisionError, match="a fault in the program"):
             build_manifest(some_pairs(), Faulty(), MockUnitizer(50), tmp_path, workers=workers)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["audio"]
+
+    @pytest.mark.parametrize("where", ["synthesizer", "unitizer"])
+    def test_a_program_fault_with_a_chain_leaves_no_manifest(self, tmp_path, monkeypatch, where):
+        # the synthesizer runs in this process, the unitizer in the workers
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        class Faulty(MockSynthesizer):
+            def synthesize(self, sentence, language):
+                if sentence == "kurz eins":
+                    raise ZeroDivisionError("a fault in the program")
+                return super().synthesize(sentence, language)
+
+        class FaultyUnitizer(MockUnitizer):
+            def unitize(self, buffer):
+                if len(buffer) == 9 * 800:  # "kurz eins"
+                    raise ZeroDivisionError("a fault in the program")
+                return super().unitize(buffer)
+
+        synth, unitizer = (Faulty(), MockUnitizer(50)) if where == "synthesizer" else (
+            MockSynthesizer(), FaultyUnitizer(50)
+        )
+        with pytest.raises(ZeroDivisionError, match="a fault in the program"):
+            build_manifest(
+                some_pairs(), synth, unitizer, tmp_path,
+                chain=ChainConfig((EffectSpec("speed", 1.0, (0.9, 0.9)),)), workers=2,
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["audio"]
+
+    def test_no_worker_holds_an_engine_pipe(self, tmp_path, monkeypatch):
+        # an engine whose input a worker held open would never see its end
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        engine = tmp_path / "tts.py"
+        engine.write_text(textwrap.dedent(TONE_ENGINE))
+
+        class PipeSeeing(MockUnitizer):
+            def unitize(self, buffer):
+                for fd in range(256):
+                    with contextlib.suppress(OSError):
+                        if os.fstat(fd)[1:3] in pipes:
+                            raise PortError(f"fd {fd} is an engine pipe")
+                return super().unitize(buffer)
+
+        chain = ChainConfig((EffectSpec("speed", 1.0, (0.9, 0.9)),))
+        failed = {}
+        for workers in (1, 2):
+            with SubprocessSynthesizer([sys.executable, str(engine), str(tmp_path / "wavs")]) as synth:
+                pipes = {os.fstat(pipe.fileno())[1:3] for pipe in (synth._proc.stdin, synth._proc.stdout)}
+                outcome = build_manifest(
+                    some_pairs(), synth, PipeSeeing(50), tmp_path / f"w{workers}",
+                    chain=chain, workers=workers,
+                )
+            failed[workers] = len(outcome.failures)
+        # in this process the unitizer sees the pipes; in the workers it does not
+        assert failed == {1: 3, 2: 0}
+
+    def test_no_worker_converts_the_bank(self, tmp_path, monkeypatch):
+        # the bank is converted to the synthesizer's rate once, before the fork
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        import speechaug.effects as effects_module
+
+        real_resample = effects_module.resample
+
+        def logged_resample(buffer, rate):
+            with open(tmp_path / "conversions", "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return real_resample(buffer, rate)
+
+        monkeypatch.setattr(effects_module, "resample", logged_resample)
+        bank = make_noise_bank(3, 16000, np.random.default_rng(5))
+        chain = ChainConfig((EffectSpec("noise_mix", 1.0, (5.0, 20.0)),))
+        outcome = build_manifest(
+            some_pairs(), MockSynthesizer(8000), MockUnitizer(50), tmp_path / "out",
+            chain=chain, bank=bank, workers=2,
+        )
+        assert outcome.failures == []
+        assert (tmp_path / "conversions").read_text().split() == [str(os.getpid())] * len(bank)
+
+    def test_a_buffer_is_read_only_in_a_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+        class Writing(MockUnitizer):
+            # the target is not augmented, so it arrives here as spoken
+            def unitize(self, buffer):
+                if buffer.samples.flags.writeable or not buffer.samples.flags.owndata:
+                    raise PortError("the buffer's samples are not its own read-only array")
+                with pytest.raises(ValueError, match="read-only"):
+                    buffer.samples[0] = 1.0
+                return super().unitize(buffer)
+
+        outcome = build_manifest(
+            some_pairs(), MockSynthesizer(), Writing(50), tmp_path,
+            chain=ChainConfig((EffectSpec("speed", 1.0, (0.9, 0.9)),)), workers=2,
+        )
+        assert outcome.failures == []
+        assert len(outcome.records) == 3
 
     def test_origin_is_recorded(self, tmp_path):
         outcome = build_manifest(

@@ -256,6 +256,16 @@ ONE_SHOT_CHILD = """
     print("only answer", flush=True)
 """
 
+# answers one request, closes its stdin and lives on for a second
+STDIN_CLOSING_CHILD = """
+    import os, sys, time
+    sys.stdin.readline()
+    print("only answer", flush=True)
+    sys.stdin.close()
+    os.close(0)
+    time.sleep(1)
+"""
+
 
 class TestSubprocessTranslator:
     def test_round_trip(self, tmp_path):
@@ -283,6 +293,16 @@ class TestSubprocessTranslator:
             assert port.translate("first", "a", "b") == "only answer"
             with pytest.raises(PortError):
                 port.translate("second", "a", "b")
+
+    def test_child_that_closes_its_stdin_raises_port_error(self, tmp_path):
+        # a BrokenPipeError would end a command as if its output were a
+        # closed pipe: with exit code 0
+        cmd = write_child(tmp_path, "closing.py", STDIN_CLOSING_CHILD)
+        with SubprocessTranslator(cmd) as port:
+            assert port.translate("first", "a", "b") == "only answer"
+            for _ in range(2):
+                with pytest.raises(PortError, match="closed its stdin|exited with code 0"):
+                    port.translate("second", "a", "b")
 
 
 def synth_child_source(tmp_path) -> str:
@@ -505,6 +525,26 @@ class TestOrderedMap:
         for i, outcome in enumerate(ordered_map(lambda i: i, range(200), 4, processes=True)):
             assert outcome == i
             assert threading.active_count() == threads
+
+    def test_the_next_item_is_pulled_while_the_children_work(self, tmp_path):
+        # pulling can be slow work of its own, such as speaking a pair: it
+        # overlaps the children's instead of keeping the next idle one waiting
+        flag = tmp_path / "pulled"
+
+        def numbers():
+            for i in range(4):
+                if i == 2:
+                    flag.touch()
+                yield i
+
+        def fn(i: int) -> bool:
+            deadline = time.monotonic() + 10
+            while i < 2 and not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return flag.exists()
+
+        # both children hold an item when the third is pulled
+        assert list(ordered_map(fn, numbers(), 2, processes=True)) == [True] * 4
 
     def test_more_indices_than_a_pipe_holds(self):
         # 20,000 pickled items are more than a 64 KiB pipe buffer holds: a
