@@ -127,7 +127,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     # each item is a pure function of its path, the chain and the bank
     traces, failures = map_to_index(
         process, files, args.workers, out_dir / "traces.jsonl",
-        name=lambda path: path.name, processes=True,
+        name=lambda path: path.name,
     )
     _write_summary(json.dumps({"processed": len(traces), "failed": len(failures)}))
     return _report_failures(failures, len(files), "files")

@@ -304,7 +304,7 @@ def build_manifest(
     records, failures = map_to_index(
         # map keeps no pair's audio once it has passed it on
         build_one, map(speak, pairs), workers, manifest_path,
-        name=lambda job: job[0].id, header=_HEADER, processes=True,
+        name=lambda job: job[0].id, header=_HEADER,
     )
     return BuildOutcome(manifest_path, records, failures)
 

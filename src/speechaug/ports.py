@@ -208,10 +208,9 @@ def ordered_map(
     synthesis done while pulling overlaps the children's. The children are
     forked with numpy loaded, and hold no end of an engine's pipes. The
     caller's thread drives them itself, starting no thread: it sends each
-    idle child the next item, one item in flight per child, pulls one more
-    item while they work, and waits on their answer pipes together. A
-    child that dies raises ``WorkerDied``, and no child outlives the
-    generator.
+    idle child the next item, one item in flight per child, and waits on
+    their answer pipes together. A child that dies raises ``WorkerDied``,
+    and no child outlives the generator.
     """
 
     def attempt(item: T) -> R | SpeechAugError:
@@ -275,28 +274,18 @@ def ordered_map(
         done: dict[int, tuple[bool, object]] = {}
         numbered = enumerate(items, 1)
         pulled = yielded = 0
-        # the next (position, item), pulled before a child is idle to take it
-        ready: tuple[int, T] | None = None
         # poll, not epoll: the pipes waited on change with every item, and
         # epoll would make two system calls for each change
         with selectors.PollSelector() as selector:
             while True:
-                # each idle child gets its next item before an outcome is
-                # yielded; then one more item is pulled while the children
-                # work, so the first to finish need not wait for it
-                while idle or ready is None:
-                    if ready is None and pulled < yielded + _AHEAD * workers:
-                        ready = next(numbered, None)
-                    if ready is None:
-                        break
-                    pulled = ready[0]
-                    if idle:
-                        _, tasks, results = child = idle.pop()
-                        # a child that died while idle shows as end of file below
-                        with contextlib.suppress(BrokenPipeError):
-                            _send(tasks, ready[1])
-                        selector.register(results, selectors.EVENT_READ, (child, pulled))
-                        ready = None
+                # each idle child gets its next item before an outcome is yielded
+                room = min(len(idle), yielded + _AHEAD * workers - pulled)
+                for pulled, item in islice(numbered, room):
+                    _, tasks, results = child = idle.pop()
+                    # a child that died while idle shows as end of file below
+                    with contextlib.suppress(BrokenPipeError):
+                        _send(tasks, item)
+                    selector.register(results, selectors.EVENT_READ, (child, pulled))
                 if yielded + 1 in done:
                     yielded += 1
                     ok, outcome = done.pop(yielded)
@@ -330,9 +319,9 @@ def ordered_map(
 
 def map_to_index(
     fn: Callable[[T], R], items: Iterable[T], workers: int, path: str | os.PathLike[str],
-    *, name: Callable[[T], str], header: str = "", processes: bool = False,
+    *, name: Callable[[T], str], header: str = "",
 ) -> tuple[list[R], list[tuple[str, SpeechAugError]]]:
-    """``ordered_map(fn, items, workers, processes=processes)``, writing ``header``
+    """``ordered_map(fn, items, workers, processes=True)``, writing ``header``
     and then each result's ``to_json()`` line to ``path`` through ``_write_file``, in
     input order as they come; the results, and each failure as ``(name(item), error)``,
     in input order.
@@ -360,7 +349,7 @@ def map_to_index(
                 yield outcome.to_json() + "\n"  # type: ignore[attr-defined]
 
     # a failed write also stops the workers, before its error goes on
-    with contextlib.closing(ordered_map(fn, map(named, items), workers, processes=processes)) as outcomes:
+    with contextlib.closing(ordered_map(fn, map(named, items), workers, processes=True)) as outcomes:
         _write_file(path, lines(outcomes))
     return results, failures
 

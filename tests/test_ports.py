@@ -526,26 +526,6 @@ class TestOrderedMap:
             assert outcome == i
             assert threading.active_count() == threads
 
-    def test_the_next_item_is_pulled_while_the_children_work(self, tmp_path):
-        # pulling can be slow work of its own, such as speaking a pair: it
-        # overlaps the children's instead of keeping the next idle one waiting
-        flag = tmp_path / "pulled"
-
-        def numbers():
-            for i in range(4):
-                if i == 2:
-                    flag.touch()
-                yield i
-
-        def fn(i: int) -> bool:
-            deadline = time.monotonic() + 10
-            while i < 2 and not flag.exists() and time.monotonic() < deadline:
-                time.sleep(0.005)
-            return flag.exists()
-
-        # both children hold an item when the third is pulled
-        assert list(ordered_map(fn, numbers(), 2, processes=True)) == [True] * 4
-
     def test_more_indices_than_a_pipe_holds(self):
         # 20,000 pickled items are more than a 64 KiB pipe buffer holds: a
         # queue written before the answers are read would deadlock here
