@@ -29,7 +29,6 @@ from .effects import (
     apply_lowpass,
     apply_pitch,
     apply_speed,
-    compute_snr,
     mix_noise,
 )
 from .errors import (
@@ -41,7 +40,6 @@ from .errors import (
     EmptyText,
     FactorOutOfRange,
     IoFailure,
-    LengthMismatch,
     MalformedManifest,
     MalformedText,
     MalformedWav,
@@ -50,7 +48,6 @@ from .errors import (
     SpeechAugError,
     UnsupportedEncoding,
     WorkerDied,
-    ZeroNoisePower,
 )
 from .manifest import (
     BuildOutcome,

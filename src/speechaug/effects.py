@@ -18,14 +18,7 @@ from typing import Any, Sequence
 
 from ._numpy import np
 from .audio import AudioBuffer, _resample_ratio, load_wav, resample
-from .errors import (
-    CutoffAboveNyquist,
-    EmptyNoiseBank,
-    FactorOutOfRange,
-    LengthMismatch,
-    MalformedManifest,
-    ZeroNoisePower,
-)
+from .errors import CutoffAboveNyquist, EmptyNoiseBank, FactorOutOfRange, MalformedManifest
 from .textpipe import iter_lines
 
 SPEED_FACTOR_MIN = 0.5
@@ -244,31 +237,6 @@ def apply_lowpass(buffer: AudioBuffer, cutoff_hz: float) -> AudioBuffer:
         )
     y = _lowpass_samples(buffer.samples, cutoff_hz, buffer.sample_rate)
     return AudioBuffer(y, buffer.sample_rate)
-
-
-def _samples_of(signal: AudioBuffer | np.ndarray) -> np.ndarray:
-    if isinstance(signal, AudioBuffer):
-        return signal.samples.astype(np.float64)
-    return np.asarray(signal, dtype=np.float64)
-
-
-def compute_snr(signal: AudioBuffer | np.ndarray, noise: AudioBuffer | np.ndarray) -> float:
-    """Signal-to-noise ratio in dB: 10*log10(sum(s^2)/sum(n^2)).
-
-    Both arguments must have the same length. A silent signal over non-silent
-    noise gives -inf.
-    """
-    s = _samples_of(signal)
-    n = _samples_of(noise)
-    if len(s) != len(n):
-        raise LengthMismatch(f"signal has {len(s)} samples, noise has {len(n)}")
-    p_noise = float(np.sum(n * n))
-    if p_noise == 0.0:
-        raise ZeroNoisePower("noise track carries no energy")
-    p_signal = float(np.sum(s * s))
-    if p_signal == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(p_signal / p_noise)
 
 
 @dataclass(frozen=True)

@@ -41,14 +41,6 @@ class CutoffAboveNyquist(SpeechAugError):
     """Low-pass cutoff at or above half the sample rate, or not positive."""
 
 
-class ZeroNoisePower(SpeechAugError):
-    """SNR is undefined because the noise track carries no energy."""
-
-
-class LengthMismatch(SpeechAugError):
-    """Two buffers that must be sample-aligned have different lengths."""
-
-
 class EmptyNoiseBank(SpeechAugError):
     """Noise mixing was requested but no noise entries are available."""
 

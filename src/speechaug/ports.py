@@ -32,8 +32,9 @@ from .errors import EmptyText, IoFailure, MockRejected, PortError, SpeechAugErro
 class TranslatorPort(Protocol):
     """Synchronous text translation.
 
-    A port is safe to call from any number of threads; a port that needs
-    serial calls serializes itself.
+    The package calls a port from the caller's thread, one request at a
+    time. A library caller may share one port between threads, so a port
+    that needs serial calls serializes itself, as the adapters do.
     """
 
     def translate(self, sentence: str, from_language: str, to_language: str) -> str: ...
@@ -43,8 +44,8 @@ class TranslatorPort(Protocol):
 class SynthesizerPort(Protocol):
     """Text to speech at a fixed sample rate.
 
-    A port is safe to call from any number of threads; a port that needs
-    serial calls serializes itself.
+    Called as ``TranslatorPort`` is: from the caller's thread, one request
+    at a time, and serialized by the port itself when it needs serial calls.
     """
 
     sample_rate: int
@@ -177,10 +178,10 @@ _AHEAD = 4
 
 
 def ordered_map(
-    fn: Callable[[T], R], items: Iterable[T], workers: int, *, processes: bool = False
+    fn: Callable[[T], R], items: Iterable[T], workers: int
 ) -> Iterator[R | SpeechAugError]:
-    """``fn(item)`` for each of ``items``, yielded in input order, run on up
-    to ``workers`` threads or, with ``processes``, forked worker processes.
+    """``fn(item)`` for each of ``items``, yielded in input order, run
+    serially in the caller or in up to ``workers`` forked worker processes.
 
     This is the one place where a single item's failure is decided: a
     ``SpeechAugError`` raised by ``fn`` for one item is yielded in that
@@ -192,25 +193,25 @@ def ordered_map(
     thread, and never more than ``_AHEAD`` items per worker ahead of the
     outcome yielded next, so memory does not grow with the input. The
     worker count is capped at the number of items and at
-    ``os.cpu_count()``; at one worker (or fewer) the items run serially in
-    the calling thread, with no pool and no fork. On an exception, or when
-    the generator is closed early, the items not started are dropped and
-    those running are waited for.
+    ``os.cpu_count()``; at one worker the items run one at a time in the
+    calling thread, with no fork, as ``textpipe``'s translations do. On an
+    exception, or when the generator is closed early, the items not started
+    are dropped and those running are waited for.
 
-    Threads suit an ``fn`` that waits, such as a call to an engine;
-    ``textpipe.iter_text_stage`` is their one user. ``processes`` suits an
-    ``fn`` that computes in Python, and is a pure function of its item and
-    of state set up before the call, such as a chain and a noise bank
-    (``augment`` and ``build`` run their chains so): each child is forked
-    from the caller, so nothing ``fn`` changes in memory comes back, only
-    its result or its exception. Items, results and exceptions travel
-    pickled, and ``items`` is still pulled in the caller, so work such as
-    synthesis done while pulling overlaps the children's. The children are
-    forked with numpy loaded, and hold no end of an engine's pipes. The
-    caller's thread drives them itself, starting no thread: it sends each
-    idle child the next item, one item in flight per child, and waits on
-    their answer pipes together. A child that dies raises ``WorkerDied``,
-    and no child outlives the generator.
+    More workers suit an ``fn`` that computes in Python, and is a pure
+    function of its item and of state set up before the call, such as a
+    chain and a noise bank (``augment`` and ``build`` run their chains so):
+    each child is forked from the caller, so nothing ``fn`` changes in
+    memory comes back, only its result or its exception. Items, results and
+    exceptions travel pickled, and ``items`` is still pulled in the caller,
+    so work such as synthesis done while pulling overlaps the children's.
+    The children are forked with numpy loaded, and hold no end of an
+    engine's pipes. The caller's thread drives them itself, starting no
+    thread: it sends each idle child the next item, one item in flight per
+    child, and waits on their answer pipes together. A child that dies
+    raises ``WorkerDied``, and no child outlives the generator. A fork
+    copies only the calling thread: a caller running other threads, native
+    ones included, forks at its own risk.
     """
 
     def attempt(item: T) -> R | SpeechAugError:
@@ -228,24 +229,6 @@ def ordered_map(
         yield from map(attempt, items)
         return
 
-    if not processes:
-        # only this mode needs a thread pool, so only it loads the module
-        from concurrent.futures import Future, ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers)
-        try:
-            pending: deque[Future] = deque()
-            for item in items:
-                pending.append(pool.submit(attempt, item))
-                if len(pending) == _AHEAD * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
-        return
-
-    # process mode, driven from the caller's thread
     children: list[tuple[int, BinaryIO, BinaryIO]] = []
     unreaped: set[int] = set()
 
@@ -257,11 +240,8 @@ def ordered_map(
         return WorkerDied(f"worker process {pid} {how} during item {position}")
 
     try:
-        # forking is safe only while the caller runs no other Python thread,
-        # and this mode starts none; OpenBLAS, the one native pool in the
-        # process, restarts its threads in the child by itself; numpy is
-        # loaded first, so that the children inherit it instead of each
-        # importing it again
+        # numpy is loaded first, so that the children inherit it instead of
+        # each importing it again
         np.ndarray
         for _ in range(workers):
             children.append(_fork(attempt, children))
@@ -321,9 +301,9 @@ def map_to_index(
     fn: Callable[[T], R], items: Iterable[T], workers: int, path: str | os.PathLike[str],
     *, name: Callable[[T], str], header: str = "",
 ) -> tuple[list[R], list[tuple[str, SpeechAugError]]]:
-    """``ordered_map(fn, items, workers, processes=True)``, writing ``header``
-    and then each result's ``to_json()`` line to ``path`` through ``_write_file``, in
-    input order as they come; the results, and each failure as ``(name(item), error)``,
+    """``ordered_map(fn, items, workers)``, writing ``header`` and then each
+    result's ``to_json()`` line to ``path`` through ``_write_file``, in input
+    order as they come; the results, and each failure as ``(name(item), error)``,
     in input order.
 
     ``items`` may be any iterable, and is read once: each item's name is taken
@@ -349,7 +329,7 @@ def map_to_index(
                 yield outcome.to_json() + "\n"  # type: ignore[attr-defined]
 
     # a failed write also stops the workers, before its error goes on
-    with contextlib.closing(ordered_map(fn, map(named, items), workers, processes=True)) as outcomes:
+    with contextlib.closing(ordered_map(fn, map(named, items), workers)) as outcomes:
         _write_file(path, lines(outcomes))
     return results, failures
 

@@ -1,4 +1,4 @@
-"""Monolingual cleaning, translation fan-out and parallel-pair filtering.
+"""Monolingual cleaning, translation and parallel-pair filtering.
 
 The stage takes a corpus in the synthesis target language, cleans each
 sentence, translates the survivors back into the source language through a
@@ -259,7 +259,6 @@ def iter_text_stage(
     to_language: str,
     stats: RejectionStats,
     policy: FilterPolicy | None = None,
-    max_in_flight: int = 1,
 ) -> Iterator[TextPair]:
     """Clean sentences, translate the survivors and yield the kept pairs.
 
@@ -269,11 +268,11 @@ def iter_text_stage(
     lines were rejected. Where every sentence ended up is counted into
     ``stats`` as the sentences are pulled.
 
-    ``sentences`` streams through: survivors are translated on up to
-    ``max_in_flight`` threads, only a few per thread ahead of the pair
-    yielded next (``ordered_map``), and pairs come out in line order, so
-    concurrency never changes the output. A sentence whose translation
-    raises ``SpeechAugError`` counts as a translator failure.
+    ``sentences`` streams through: each survivor is translated from the
+    caller's thread, one request at a time, and its pair yielded before the
+    next sentence is pulled. A sentence whose translation raises
+    ``SpeechAugError`` counts as a translator failure, by ``ordered_map``'s
+    per-item failure rule.
     """
     policy = policy or FilterPolicy()
 
@@ -290,7 +289,7 @@ def iter_text_stage(
         idx, text = survivor
         return idx, text, translator.translate(text, language, to_language)
 
-    for outcome in ordered_map(translate, survivors(), max_in_flight):
+    for outcome in ordered_map(translate, survivors(), 1):
         if isinstance(outcome, SpeechAugError):
             stats.translator_failures += 1
             continue
@@ -316,14 +315,13 @@ def run_text_stage(
     max_in_flight: int = 1,
 ) -> tuple[list[TextPair], RejectionStats]:
     """``iter_text_stage`` over a whole corpus: the kept pairs, in line
-    order, and where every sentence ended up."""
+    order, and where every sentence ended up.
+
+    ``max_in_flight`` is ignored: requests go one at a time. It stays for
+    the callers that pass it."""
     stats = RejectionStats()
-    pairs = list(
-        iter_text_stage(
-            corpus.sentences, corpus.language, translator, to_language, stats, policy, max_in_flight
-        )
-    )
-    return pairs, stats
+    stage = iter_text_stage(corpus.sentences, corpus.language, translator, to_language, stats, policy)
+    return list(stage), stats
 
 
 def reservoir_take(lines: Iterable[str], n: int, rng: Any) -> list[str]:

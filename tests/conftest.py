@@ -50,7 +50,7 @@ def db_ratio(out: np.ndarray, ref: np.ndarray) -> float:
 
 
 def direct_snr_db(signal: np.ndarray, noise: np.ndarray) -> float:
-    """SNR oracle by direct summation, separate from compute_snr."""
+    """SNR oracle by direct summation, separate from the mixer's own arithmetic."""
     s = np.asarray(signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     return 10.0 * math.log10(float(np.sum(s * s)) / float(np.sum(n * n)))

@@ -17,16 +17,13 @@ from speechaug import (
     EmptyNoiseBank,
     FactorOutOfRange,
     IoFailure,
-    LengthMismatch,
     MalformedManifest,
     MalformedText,
     NoiseBank,
     NoiseEntry,
-    ZeroNoisePower,
     apply_lowpass,
     apply_pitch,
     apply_speed,
-    compute_snr,
     mix_noise,
 )
 from speechaug import effects
@@ -256,40 +253,6 @@ class TestLowpass:
         assert len(out) == n
         assert np.all(np.isfinite(out.samples))
         assert np.max(np.abs(out.samples)) <= 1.0
-
-
-class TestComputeSnr:
-    def test_equal_tracks_is_zero_db(self):
-        buf = make_sine(440.0, 0.2, 16000)
-        assert compute_snr(buf, buf) == pytest.approx(0.0, abs=1e-12)
-
-    def test_tenth_amplitude_is_twenty_db(self):
-        buf = make_sine(440.0, 0.2, 16000)
-        tenth = AudioBuffer(buf.samples * 0.1, 16000)
-        assert compute_snr(buf, tenth) == pytest.approx(20.0, abs=1e-6)
-
-    def test_matches_direct_summation_oracle(self, rng):
-        s = rng.uniform(-0.7, 0.7, 5000)
-        n = rng.normal(0.0, 0.05, 5000)
-        got = compute_snr(AudioBuffer(s, 16000), AudioBuffer(n, 16000))
-        want = direct_snr_db(
-            AudioBuffer(s, 16000).samples, AudioBuffer(n, 16000).samples
-        )
-        assert got == pytest.approx(want, abs=1e-9)
-
-    def test_silent_signal_is_minus_inf(self):
-        z = AudioBuffer(np.zeros(100), 16000)
-        n = make_sine(440.0, 100 / 16000, 16000)
-        assert compute_snr(z, n) == float("-inf")
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            compute_snr(AudioBuffer(np.zeros(10), 16000), AudioBuffer(np.zeros(11), 16000))
-
-    def test_zero_noise_power(self):
-        buf = make_sine(440.0, 0.1, 16000)
-        with pytest.raises(ZeroNoisePower):
-            compute_snr(buf, AudioBuffer(np.zeros(len(buf)), 16000))
 
 
 class TestMixNoise:

@@ -257,12 +257,13 @@ ONE_SHOT_CHILD = """
 """
 
 # answers one request, closes its stdin and lives on for a second
+# closes its stdin before it answers, so the next request finds no reader
 STDIN_CLOSING_CHILD = """
     import os, sys, time
     sys.stdin.readline()
-    print("only answer", flush=True)
     sys.stdin.close()
     os.close(0)
+    print("only answer", flush=True)
     time.sleep(1)
 """
 
@@ -430,12 +431,8 @@ def test_one_port_serves_many_threads(tmp_path):
     assert done.stdout.split() == ["800"], done.stderr
 
 
-# (workers, processes): serial, a thread pool, forked worker processes
-MODES = [
-    pytest.param(1, False, id="serial"),
-    pytest.param(4, False, id="threads"),
-    pytest.param(4, True, id="processes"),
-]
+# workers: serial in the caller, or forked worker processes
+MODES = [pytest.param(1, id="serial"), pytest.param(4, id="processes")]
 
 
 def logging_pids(directory: Path, fn):
@@ -473,63 +470,62 @@ class TestOrderedMap:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-    @pytest.mark.parametrize("workers, processes", MODES)
-    def test_typed_error_takes_its_own_slot(self, workers, processes):
+    @pytest.mark.parametrize("workers", MODES)
+    def test_typed_error_takes_its_own_slot(self, workers):
         def fn(i: int) -> int:
             if i == 2:
                 raise MockRejected(f"item {i} refused")
             return i * i
 
-        outcomes = list(ordered_map(fn, range(6), workers, processes=processes))
+        outcomes = list(ordered_map(fn, range(6), workers))
         assert isinstance(outcomes[2], MockRejected)
         assert str(outcomes[2]) == "item 2 refused"
         assert [o for i, o in enumerate(outcomes) if i != 2] == [0, 1, 9, 16, 25]
 
-    @pytest.mark.parametrize("workers, processes", MODES)
-    def test_other_exceptions_propagate(self, workers, processes):
+    @pytest.mark.parametrize("workers", MODES)
+    def test_other_exceptions_propagate(self, workers):
         def fn(i: int) -> int:
             if i == 3:
                 raise RuntimeError("a bug, not an item failure")
             return i
 
         with pytest.raises(RuntimeError, match="a bug"):
-            list(ordered_map(fn, range(6), workers, processes=processes))
+            list(ordered_map(fn, range(6), workers))
 
-    @pytest.mark.parametrize("workers, processes", MODES)
-    def test_input_order_whatever_the_finishing_order(self, workers, processes):
+    @pytest.mark.parametrize("workers", MODES)
+    def test_input_order_whatever_the_finishing_order(self, workers):
         def fn(i: int) -> int:
             time.sleep(0.002 * (8 - i))
             return i
 
-        assert list(ordered_map(fn, range(8), workers, processes=processes)) == list(range(8))
+        assert list(ordered_map(fn, range(8), workers)) == list(range(8))
 
     def test_processes_return_what_the_children_computed(self):
-        outcomes = list(ordered_map(lambda i: (i, os.getpid()), range(8), 2, processes=True))
+        outcomes = list(ordered_map(lambda i: (i, os.getpid()), range(8), 2))
         assert [i for i, _ in outcomes] == list(range(8))
         assert os.getpid() not in {pid for _, pid in outcomes}
 
-    @pytest.mark.parametrize("processes", [False, True], ids=["threads", "processes"])
-    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch, processes):
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-        def fn(i: int) -> tuple[int, int]:
+        def fn(i: int) -> int:
             time.sleep(0.005)
-            return os.getpid(), threading.get_ident()
+            return os.getpid()
 
-        outcomes = list(ordered_map(fn, range(6), 1000, processes=processes))
+        outcomes = list(ordered_map(fn, range(6), 1000))
         assert len(set(outcomes)) <= 2
 
     def test_processes_start_no_thread(self):
         # the caller's thread drives the children itself
         threads = threading.active_count()
-        for i, outcome in enumerate(ordered_map(lambda i: i, range(200), 4, processes=True)):
+        for i, outcome in enumerate(ordered_map(lambda i: i, range(200), 4)):
             assert outcome == i
             assert threading.active_count() == threads
 
     def test_more_indices_than_a_pipe_holds(self):
         # 20,000 pickled items are more than a 64 KiB pipe buffer holds: a
         # queue written before the answers are read would deadlock here
-        assert list(ordered_map(lambda i: 2 * i, range(20_000), 2, processes=True)) == [
+        assert list(ordered_map(lambda i: 2 * i, range(20_000), 2)) == [
             2 * i for i in range(20_000)
         ]
 
@@ -540,7 +536,7 @@ class TestOrderedMap:
             return i
 
         with pytest.raises(WorkerDied, match=r"killed by signal 9 during item 4"):
-            list(ordered_map(fn, range(6), 2, processes=True))
+            list(ordered_map(fn, range(6), 2))
 
     @pytest.mark.parametrize("kept", [0, 1, 4096, None], ids=["none", "1 byte", "4 KiB", "half"])
     def test_truncated_answer_is_a_typed_error(self, monkeypatch, kept):
@@ -557,7 +553,7 @@ class TestOrderedMap:
             send(pipe, message)
 
         monkeypatch.setattr(ports, "_send", cut_send)
-        outcomes = ordered_map(lambda i: (i, b"x" * 100_000), range(6), 2, processes=True)
+        outcomes = ordered_map(lambda i: (i, b"x" * 100_000), range(6), 2)
         died = r"^worker process \d+ was killed by signal 9 during item 4$"
         with pytest.raises(WorkerDied, match=died):
             list(outcomes)
@@ -565,7 +561,7 @@ class TestOrderedMap:
     def test_large_answers_arrive_whole(self):
         # answers of 300-600 KB are several pipe buffers each
         outcomes = ordered_map(
-            lambda i: bytes([i]) * (300_000 + 7_500 * i), range(40), 2, processes=True
+            lambda i: bytes([i]) * (300_000 + 7_500 * i), range(40), 2
         )
         for i, outcome in enumerate(outcomes):
             assert outcome == bytes([i]) * (300_000 + 7_500 * i)
@@ -580,11 +576,11 @@ class TestOrderedMap:
                 raise ValueError(b"y" * 200_000, lambda: None)
             return i
 
-        outcomes = ordered_map(fn, range(3), 2, processes=True)
+        outcomes = ordered_map(fn, range(3), 2)
         assert next(outcomes) == 0
         with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
             next(outcomes)
-        outcomes = ordered_map(fn, [0, 2, 3], 2, processes=True)
+        outcomes = ordered_map(fn, [0, 2, 3], 2)
         assert next(outcomes) == 0
         with pytest.raises(RuntimeError, match="^ValueError: "):
             next(outcomes)
@@ -602,12 +598,12 @@ class TestOrderedMap:
             return i
 
         with contextlib.suppress(RuntimeError, WorkerDied):
-            list(ordered_map(logging_pids(tmp_path, fn), range(8), 2, processes=True))
+            list(ordered_map(logging_pids(tmp_path, fn), range(8), 2))
         assert {int(p.name) for p in tmp_path.iterdir()} - {os.getpid()}
         assert_reaped(tmp_path)
 
-    @pytest.mark.parametrize("workers, processes", MODES)
-    def test_pulls_from_the_caller_a_window_ahead(self, workers, processes):
+    @pytest.mark.parametrize("workers", MODES)
+    def test_pulls_from_the_caller_a_window_ahead(self, workers):
         pulled_by = []
 
         def numbers():
@@ -615,27 +611,26 @@ class TestOrderedMap:
                 pulled_by.append(threading.get_ident())
                 yield i
 
-        outcomes = ordered_map(lambda i: i, numbers(), workers, processes=processes)
+        outcomes = ordered_map(lambda i: i, numbers(), workers)
         for position, outcome in enumerate(outcomes, 1):
             assert outcome == position - 1
             assert len(pulled_by) < position + ports._AHEAD * workers
         assert len(pulled_by) == 500
         assert set(pulled_by) == {threading.get_ident()}
 
-    @pytest.mark.parametrize("workers, processes", MODES)
-    def test_close_after_the_first_outcome_leaves_no_worker(self, tmp_path, workers, processes):
+    @pytest.mark.parametrize("workers", MODES)
+    def test_close_after_the_first_outcome_leaves_no_worker(self, tmp_path, workers):
         threads = threading.active_count()
-        outcomes = ordered_map(
-            logging_pids(tmp_path, lambda i: i), itertools.count(), workers, processes=processes
-        )
+        outcomes = ordered_map(logging_pids(tmp_path, lambda i: i), itertools.count(), workers)
         assert next(outcomes) == 0
         outcomes.close()
         assert threading.active_count() == threads
-        if processes:
+        if workers > 1:
             assert {int(p.name) for p in tmp_path.iterdir()} - {os.getpid()}
         assert_reaped(tmp_path)
 
-    def test_thread_mode_memory_stays_flat_as_the_input_grows(self):
+    def test_memory_stays_flat_as_the_input_grows(self):
+        # the children inherit tracemalloc, which slows each item tenfold
         def peak(count: int) -> int:
             tracemalloc.start()
             try:
@@ -644,8 +639,8 @@ class TestOrderedMap:
             finally:
                 tracemalloc.stop()
 
-        small = peak(10_000)
-        assert peak(100_000) < 2 * small
+        small = peak(2_000)
+        assert peak(20_000) < 2 * small
 
 
 def all_subclasses(cls: type) -> set[type]:

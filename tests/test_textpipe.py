@@ -5,6 +5,7 @@ from __future__ import annotations
 import posixpath
 import re
 import sys
+import threading
 from itertools import groupby
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from speechaug import (
     run_text_stage,
     write_pairs_tsv,
 )
-from speechaug import ports, textpipe
+from speechaug import textpipe
 
 GOLDEN = Path(__file__).parent / "data" / "clean_golden.tsv"
 
@@ -251,8 +252,11 @@ class TestRunTextStage:
             for _ in range(300)
         )
         corpus = TextCorpus(sentences, "tgt")
+        threads = threading.active_count()
         seq_pairs, seq_stats = run_text_stage(corpus, FlakyTranslator(), "src", max_in_flight=1)
+        # max_in_flight is ignored: every request goes from this thread
         par_pairs, par_stats = run_text_stage(corpus, FlakyTranslator(), "src", max_in_flight=8)
+        assert threading.active_count() == threads
         assert seq_stats.is_conserved()
         assert seq_pairs == par_pairs
         assert seq_stats.to_dict() == par_stats.to_dict()
@@ -272,8 +276,8 @@ def collect(sentences, translator=None, **kwargs):
 
 
 class TestIterTextStage:
-    @pytest.mark.parametrize("max_in_flight", [1, 3])
-    def test_yields_after_pulling_one_window(self, max_in_flight):
+    def test_yields_after_pulling_one_window(self):
+        # the window is one sentence: its pair comes out before the next is read
         pulled = 0
 
         def lines():
@@ -282,21 +286,20 @@ class TestIterTextStage:
                 pulled += 1
                 yield f"sentence number {i}"
 
-        stage = iter_text_stage(
-            lines(), "tgt", MockTranslator(), "src", RejectionStats(), max_in_flight=max_in_flight
-        )
+        stage = iter_text_stage(lines(), "tgt", MockTranslator(), "src", RejectionStats())
         first = next(stage)
         stage.close()
         assert first.id == "p00000000"
-        assert pulled <= ports._AHEAD * max_in_flight + 1
+        assert pulled == 1
 
-    def test_the_window_does_not_change_the_result(self, monkeypatch):
+    def test_the_window_does_not_change_the_result(self):
+        # run_text_stage takes a window, max_in_flight, and ignores it
         sentences = ["keep this", "drop [me]", "", "boom here", "and this one", "x y"] * 7
-        whole, whole_stats = collect(sentences, FlakyTranslator())
-        monkeypatch.setattr(ports, "_AHEAD", 1)
-        windowed, windowed_stats = collect(iter(sentences), FlakyTranslator(), max_in_flight=3)
-        assert windowed == whole
-        assert windowed_stats.to_dict() == whole_stats.to_dict()
+        streamed, streamed_stats = collect(iter(sentences), FlakyTranslator())
+        corpus = TextCorpus(sentences, "tgt")
+        windowed, windowed_stats = run_text_stage(corpus, FlakyTranslator(), "src", max_in_flight=3)
+        assert windowed == streamed
+        assert windowed_stats.to_dict() == streamed_stats.to_dict()
         assert windowed_stats.is_conserved()
 
 
