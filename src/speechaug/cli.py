@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import shlex
 import sys
 from dataclasses import fields
@@ -22,7 +21,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from ._numpy import np
 from ._pcg64 import PCG64
 from .audio import _write_file, load_wav, save_wav
 from .chain import AppliedTrace, ChainConfig, apply_chain, default_chain, load_chain, needs_bank
@@ -109,20 +107,6 @@ def _load_bank(args: argparse.Namespace, chain: ChainConfig | None) -> NoiseBank
     return bank
 
 
-def _load_numpy_single_threaded() -> None:
-    """Load numpy with one OpenBLAS thread, unless the user set
-    ``OPENBLAS_NUM_THREADS``: ``augment`` and ``build`` fork workers, and a
-    fork copies only the thread that calls it. The variable is taken out
-    again before any engine starts, so engines get the user's environment."""
-    chosen = "OPENBLAS_NUM_THREADS" in os.environ
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    try:
-        np.ndarray
-    finally:
-        if not chosen:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-
-
 def cmd_augment(args: argparse.Namespace) -> int:
     in_dir = Path(args.in_path)
     out_dir = Path(args.out_path)
@@ -132,7 +116,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
     if not files:
         raise CliError(f"no WAV files under {in_dir}")
     config = _load_chain_config(args)
-    _load_numpy_single_threaded()
     bank = _load_bank(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -226,7 +209,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     # a chain that perturbs neither side is not loaded, and needs no bank
     unused = args.no_effects or (args.no_augment_source and not args.augment_target)
     chain = None if unused else _load_chain_config(args)
-    _load_numpy_single_threaded()
     bank = _load_bank(args, chain)
     synthesizer = _make_port(
         "synthesizer", args.synthesizer,

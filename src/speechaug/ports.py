@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import pickle
+import select
 import selectors
 import threading
 import weakref
@@ -399,6 +400,14 @@ _EXIT_TIMEOUT_S = 10.0
 _engines: weakref.WeakSet[_LineProcess] = weakref.WeakSet()
 
 
+def _reader_gone(pipe: BinaryIO) -> bool:
+    """Whether the read end of ``pipe`` is closed: Linux reports POLLERR on
+    the write end of a pipe that nothing reads."""
+    poller = select.poll()
+    poller.register(pipe, 0)
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 class _LineProcess:
     """A child process spoken to one UTF-8 line at a time over stdin/stdout,
     whatever the locale.
@@ -443,7 +452,10 @@ class _LineProcess:
                 raise PortError(f"{self.command[0]} closed its stdin mid-conversation") from None
             response = proc.stdout.readline()
         if not response:
-            raise PortError(f"{self.command[0]} closed its stdout mid-conversation")
+            # an engine that closes its stdin with the request still unread
+            # discards it, and the write above succeeded all the same
+            pipe = "stdin" if _reader_gone(proc.stdin) else "stdout"
+            raise PortError(f"{self.command[0]} closed its {pipe} mid-conversation")
         try:
             return response.rstrip(b"\r\n").decode("utf-8")
         except UnicodeDecodeError as err:

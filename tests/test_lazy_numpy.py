@@ -1,7 +1,6 @@
 """numpy is imported at the first array operation, not with the package,
-and by augment and build with one OpenBLAS thread; hashlib (with the
-OpenSSL library it loads) and the thread pool not at all, and subprocess
-only by a run that starts an engine.
+hashlib (with the OpenSSL library it loads) and the thread pool not at
+all, and subprocess only by a run that starts an engine.
 
 Each check runs in a fresh interpreter, since this one has numpy imported
 already.
@@ -61,14 +60,9 @@ atexit.register(lambda: print(forks, file=sys.stderr))
 """
 
 
-def run_python(code: str, *argv: str, openblas: str | None = None) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter, with ``OPENBLAS_NUM_THREADS`` set
-    to ``openblas``, or unset."""
+def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     package_root = str(Path(speechaug.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if openblas is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=300
@@ -198,76 +192,6 @@ def test_only_a_build_with_a_chain_forks_workers(tmp_path):
         assert result.returncode == 0, result.stderr
         forks.append(result.stderr)
     assert forks == ["[True, True]\n", "[]\n"]
-
-
-# counts the OS threads of the process at each fork; the children leave
-# through os._exit, so only the parent prints
-_COUNT_THREADS_AT_FORKS = """
-import atexit, os, sys
-threads = []
-real_fork = os.fork
-def fork():
-    threads.append(len(os.listdir("/proc/self/task")))
-    return real_fork()
-os.fork = fork
-os.cpu_count = lambda: 4
-atexit.register(lambda: print(threads, file=sys.stderr))
-"""
-
-# writes the OPENBLAS_NUM_THREADS it was started with to the file in its
-# second argument, and answers every request with the path in its first
-_ENV_REPORTING_ENGINE = (
-    "import os, sys\n"
-    "open(sys.argv[2], 'w').write(repr(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
-    "for line in sys.stdin:\n    print(sys.argv[1], flush=True)\n"
-)
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux's /proc")
-def test_every_fork_runs_one_os_thread(tmp_path):
-    # augment and build load numpy with one OpenBLAS thread, unless the user
-    # chose a count, and start their engines with the user's environment
-    pairs = tmp_path / "pairs.tsv"
-    write_pairs_tsv(
-        [TextPair(f"p{i}", f"sentence {i} spoken", f"gesprochen {i}") for i in range(4)], pairs
-    )
-    inputs = tmp_path / "in"
-    inputs.mkdir()
-    for i in range(4):
-        save_wav(make_sine(300.0 + 40.0 * i, 0.2, 16000), inputs / f"utt{i}.wav")
-    wav = tmp_path / "tone.wav"
-    save_wav(make_sine(440.0, 0.2, 16000), wav)
-    engine = tmp_path / "engine.py"
-    engine.write_text(_ENV_REPORTING_ENGINE)
-    seen = tmp_path / "seen"
-    synthesizer = f"subprocess:{shlex.join([sys.executable, str(engine), str(wav), str(seen)])}"
-    config = str(speed_config(tmp_path))
-    # the threads a process has once numpy is loaded with the user's two
-    user_threads = run_python(
-        "import os, numpy; print(len(os.listdir('/proc/self/task')))", openblas="2"
-    ).stdout
-    for openblas, engine_saw in ((None, "None"), ("2", "'2'")):
-        out = tmp_path / str(openblas)
-        augment = run_python(
-            _COUNT_THREADS_AT_FORKS + _MAIN, "augment", "--in", str(inputs), "--out",
-            str(out / "augment"), "--seed", "1", "--config", config, "--workers", "2",
-            openblas=openblas,
-        )
-        build = run_python(
-            _COUNT_THREADS_AT_FORKS + _MAIN, "build", "--pairs", str(pairs), "--out",
-            str(out / "build"), "--seed", "1", "--units-k", "50", "--config", config,
-            "--augment-target", "--workers", "2", "--synthesizer", synthesizer,
-            openblas=openblas,
-        )
-        assert (augment.returncode, build.returncode) == (0, 0), augment.stderr + build.stderr
-        forks = [json.loads(augment.stderr), json.loads(build.stderr)]
-        if openblas is None:
-            assert forks == [[1, 1], [1, 1]]
-        else:
-            # OpenBLAS stops its threads at a fork and starts them again at
-            # its next call, so only the first fork is sure to see them
-            assert [forks[0][0], forks[1][0]] == [int(user_threads)] * 2
-        assert seen.read_text() == engine_saw
 
 
 def test_build_and_augment_run_with_numpy_random_blocked(tmp_path):

@@ -257,14 +257,24 @@ ONE_SHOT_CHILD = """
 """
 
 # answers one request, closes its stdin and lives on for a second
-# closes its stdin before it answers, so the next request finds no reader
 STDIN_CLOSING_CHILD = """
     import os, sys, time
     sys.stdin.readline()
+    print("only answer", flush=True)
     sys.stdin.close()
     os.close(0)
-    print("only answer", flush=True)
     time.sleep(1)
+"""
+
+# answers one request, waits for the next to arrive, closes its stdin with
+# that request unread and lives on for a fifth of a second
+UNREAD_REQUEST_CHILD = """
+    import os, select, sys, time
+    sys.stdin.readline()
+    print("only answer", flush=True)
+    select.select([0], [], [])
+    os.close(0)
+    time.sleep(0.2)
 """
 
 
@@ -304,6 +314,15 @@ class TestSubprocessTranslator:
             for _ in range(2):
                 with pytest.raises(PortError, match="closed its stdin|exited with code 0"):
                     port.translate("second", "a", "b")
+
+    def test_child_that_closes_its_stdin_on_an_unread_request_names_stdin(self, tmp_path):
+        # the request is written before the child closes its stdin, so the
+        # adapter learns of the close only at the end of the child's stdout
+        cmd = write_child(tmp_path, "unread.py", UNREAD_REQUEST_CHILD)
+        with SubprocessTranslator(cmd) as port:
+            assert port.translate("first", "a", "b") == "only answer"
+            with pytest.raises(PortError, match="closed its stdin mid-conversation"):
+                port.translate("second", "a", "b")
 
 
 def synth_child_source(tmp_path) -> str:
