@@ -11,8 +11,8 @@ with per-item failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import logging
 import shlex
 import sys
 from dataclasses import fields
@@ -52,8 +52,6 @@ from .textpipe import (
     write_pairs_tsv,
 )
 
-log = logging.getLogger("speechaug")
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
@@ -63,6 +61,14 @@ def _write_summary(text: str) -> None:
     """A subcommand's summary on stdout, in one write: ``print`` makes two,
     and unbuffered each is a system call."""
     sys.stdout.write(text + "\n")
+
+
+def _write_error(message: str) -> None:
+    """One ``ERROR speechaug:`` line on stderr. A closed stderr (None under
+    ``2>&-``), or one whose reader is gone, loses the line, not the exit code."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError, ValueError):
+            sys.stderr.write(f"ERROR speechaug: {message}\n")
 
 
 class CliError(Exception):
@@ -135,9 +141,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def _report_failures(failures: list[tuple[str, SpeechAugError]], total: int, noun: str) -> int:
     for name, err in failures:
-        log.error("failed: %s: %s", name, err)
+        _write_error(f"failed: {name}: {err}")
     if failures:
-        log.error("%d of %d %s failed", len(failures), total, noun)
+        _write_error(f"{len(failures)} of {total} {noun} failed")
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -193,7 +199,7 @@ def cmd_textaug(args: argparse.Namespace) -> int:
     _write_file(out_dir / "stats.json", [json.dumps(stats.to_dict(), indent=2) + "\n"])
     _write_summary(json.dumps(stats.to_dict()))
     if stats.translator_failures:
-        log.error("%d sentences failed translation", stats.translator_failures)
+        _write_error(f"{stats.translator_failures} sentences failed translation")
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -335,7 +341,6 @@ def _add_noise_options(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="speechaug", description=__doc__)
-    parser.add_argument("--log-level", default="INFO", help="logging level for stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("augment", help="perturb every WAV in a directory")
@@ -407,12 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=getattr(logging, str(args.log_level).upper(), logging.INFO),
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -17,7 +17,6 @@ import pickle
 import select
 import selectors
 import threading
-import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -206,11 +205,12 @@ def ordered_map(
     memory comes back, only its result or its exception. Items, results and
     exceptions travel pickled, and ``items`` is still pulled in the caller,
     so work such as synthesis done while pulling overlaps the children's.
-    The children are forked with numpy loaded, and hold no end of an
-    engine's pipes. The caller's thread drives them itself, starting no
-    thread: it sends each idle child the next item, one item in flight per
-    child, and waits on their answer pipes together. A child that dies
-    raises ``WorkerDied``, and no child outlives the generator. A fork
+    The children are forked with numpy loaded. The caller's thread drives
+    them itself, starting no thread: it sends each idle child the next
+    item, one item in flight per child, and waits on their answer pipes
+    together. A child that dies raises ``WorkerDied``. No child outlives
+    the generator, so an engine whose pipes the children inherited, closed
+    once the generator is done, sees the end of its input. A fork
     copies only the calling thread: a caller running other threads, native
     ones included, forks at its own risk.
     """
@@ -373,15 +373,10 @@ def _fork(
         code = 1
         try:
             # a child keeps only its own two pipe ends, not the parent's
-            # ends of its siblings' pipes, nor of any engine's: an engine
-            # whose input a worker held open would never see its end
+            # ends of its siblings' pipes
             for _, tasks, results in siblings:
                 os.close(tasks.fileno())
                 os.close(results.fileno())
-            for engine in _engines:
-                for pipe in (engine._proc.stdin, engine._proc.stdout):
-                    if pipe is not None and not pipe.closed:
-                        os.close(pipe.fileno())
             os.close(task_w)
             os.close(result_r)
             _serve(attempt, open(task_r, "rb"), open(result_w, "wb"))
@@ -395,9 +390,6 @@ def _fork(
 
 # Seconds an engine may take to exit once its input is closed.
 _EXIT_TIMEOUT_S = 10.0
-
-# Every engine of this process, whose pipe ends a forked worker closes.
-_engines: weakref.WeakSet[_LineProcess] = weakref.WeakSet()
 
 
 def _reader_gone(pipe: BinaryIO) -> bool:
@@ -429,7 +421,6 @@ class _LineProcess:
         except OSError as err:
             raise PortError(f"cannot start {self.command[0]}: {err}") from err
         self._lock = threading.Lock()
-        _engines.add(self)
 
     def request(self, *fields: str) -> str:
         """Send ``fields``, each whitespace-flattened, as one tab-separated

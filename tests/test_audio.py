@@ -141,6 +141,12 @@ class TestLoadWav:
         with pytest.raises(MalformedWav):
             load_wav(path)
 
+    def test_zero_sample_rate(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(wav_bytes(struct.pack("<h", 1), rate=0))
+        with pytest.raises(MalformedWav, match="invalid sample rate 0"):
+            load_wav(path)
+
     def test_mulaw_rejected(self, tmp_path):
         path = tmp_path / "mu.wav"
         path.write_bytes(wav_bytes(b"\x00\x00", fmt_tag=7, bits=8))
@@ -200,6 +206,11 @@ class TestSaveWav:
     def test_refuses_empty(self, tmp_path):
         with pytest.raises(EmptyAudio):
             save_wav(AudioBuffer(np.zeros(0), 16000), tmp_path / "e.wav")
+
+    def test_refuses_an_unknown_encoding(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown encoding 'alaw'"):
+            save_wav(AudioBuffer(np.zeros(4), 16000), tmp_path / "a.wav", encoding="alaw")
+        assert list(tmp_path.iterdir()) == []
 
     def test_silence_roundtrip(self, tmp_path):
         buf = AudioBuffer(np.zeros(16000), 16000)

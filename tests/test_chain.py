@@ -263,6 +263,20 @@ class TestTraceAndReplay:
             with pytest.raises(ValueError):
                 replay_trace(every, buffer, AppliedTrace("u", stages), bank)
 
+    def test_replay_refuses_a_stage_of_another_kind(self, buffer, bank):
+        every = certain(default_chain(0))
+        _, trace = apply_chain(every, buffer, "u", bank)
+        speed, pitch, lowpass, _ = trace.stages
+        stages = (speed, pitch, lowpass, replace(lowpass, index=4))
+        with pytest.raises(ValueError, match="trace stage 4 is 'lowpass', chain has 'noise_mix'"):
+            replay_trace(every, buffer, AppliedTrace("u", stages), bank)
+
+    def test_replay_of_a_noise_stage_needs_a_bank(self, buffer, bank):
+        every = certain(default_chain(0))
+        _, trace = apply_chain(every, buffer, "u", bank)
+        with pytest.raises(ChainStageError, match="needs the bank"):
+            replay_trace(every, buffer, trace)
+
     def test_degenerate_mix_replays_with_its_bank(self, buffer):
         # an all-zero entry leaves the aggregate silent, so the mix is a no-op
         silent = NoiseBank([NoiseEntry("zeros", AudioBuffer(np.zeros(4000), 16000))])

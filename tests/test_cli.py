@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import io
 import json
+import logging
 import os
 import re
 import shlex
@@ -33,7 +34,7 @@ from speechaug.cli import main
 
 from conftest import make_sine, tree_bytes
 from test_audio import wav_bytes
-from test_manifest import record
+from test_manifest import TONE_ENGINE, record
 from test_lazy_numpy import _MAIN, run_python
 from test_ports import assert_reaped
 
@@ -674,6 +675,16 @@ class TestTextaug:
         assert started == []
         assert not out_dir.exists()
 
+    def test_subprocess_translator_without_a_command(self, tmp_path, capsys):
+        corpus = self.write_corpus(tmp_path / "corpus.txt")
+        out_dir = tmp_path / "out"
+        assert main([
+            "textaug", "--in", str(corpus), "--out", str(out_dir),
+            "--language", "en", "--to", "xx", "--translator", "subprocess:",
+        ]) == 1
+        assert capsys.readouterr() == ("", "error: subprocess translator needs a command\n")
+        assert not out_dir.exists()
+
     def test_filter_options_default_to_the_policy(self):
         argv = ["textaug", "--in", "c.txt", "--out", "o", "--language", "en", "--to", "xx"]
         args = cli.build_parser().parse_args(argv)
@@ -1102,6 +1113,41 @@ class TestBuild:
         assert runs[1] == runs[0]
 
 
+    def test_a_fault_in_the_workers_leaves_the_engine_exited(self, tmp_path, monkeypatch):
+        # the workers inherit the engine's pipes; all have exited when the
+        # fault reaches cmd_build, which closes the engine after it
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        parent = os.getpid()
+        engines = []
+
+        class Faulty(ports.MockUnitizer):
+            def unitize(self, buffer):
+                if os.getpid() != parent:
+                    raise RuntimeError("a program fault in a worker")
+                return super().unitize(buffer)
+
+        class Recorded(ports.SubprocessSynthesizer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(cli, "MockUnitizer", Faulty)
+        monkeypatch.setattr(cli, "SubprocessSynthesizer", Recorded)
+        engine = tmp_path / "tts.py"
+        engine.write_text(textwrap.dedent(TONE_ENGINE))
+        pairs = self.write_pairs(tmp_path / "pairs.tsv", count=6)
+        spec = "subprocess:" + shlex.join([sys.executable, str(engine), str(tmp_path / "wavs")])
+        config = write_identity_config(tmp_path / "chain.json")
+        with pytest.raises(RuntimeError, match="a program fault in a worker"):
+            main([
+                "build", "--pairs", str(pairs), "--out", str(tmp_path / "out"), "--seed", "3",
+                "--units-k", "50", "--config", str(config), "--synthesizer", spec,
+                "--workers", "2",
+            ])
+        [synthesizer] = engines
+        assert synthesizer._proc.returncode == 0
+
+
 # echoes each sentence, then keeps running after the end of its input
 LINGERING_ENGINE = """
     import os, sys, time
@@ -1417,6 +1463,26 @@ class TestSample:
         ]) == 1
         assert capsys.readouterr() == ("", f"error: --weights names origin {origin!r} twice\n")
 
+    def test_an_empty_weights_entry_is_skipped(self, tmp_path, capsys):
+        real, aug = self.write_manifests(tmp_path)
+        outputs = []
+        for weights in ("real=1,text_aug=1", "real=1,,text_aug=1"):
+            assert main([
+                "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+                "--weights", weights, "-n", "30", "--seed", "2",
+            ]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert len(outputs[0].out.split()) == 30
+
+    def test_weights_of_only_empty_entries_are_one_error_line(self, tmp_path, capsys):
+        real, aug = self.write_manifests(tmp_path)
+        assert main([
+            "sample", "--manifest", f"real={real}", "--manifest", f"text_aug={aug}",
+            "--weights", ",", "-n", "3", "--seed", "1",
+        ]) == 1
+        assert capsys.readouterr() == ("", "error: --weights is empty\n")
+
     @pytest.mark.parametrize("count", ["0", "1"])
     def test_weighted_empty_origin_is_refused_at_any_count(self, tmp_path, capsys, count):
         real, _ = self.write_manifests(tmp_path)
@@ -1556,3 +1622,49 @@ def test_summary_is_one_write(tmp_path, monkeypatch, command):
     assert main(args) == 0
     assert stdout.writes == 1
     assert stdout.getvalue().endswith("}\n" if command != "build" else "manifest.jsonl\n")
+
+
+class TestStderr:
+    def failing_augment(self, tmp_path: Path) -> list[str]:
+        """An augment of two good inputs and one undecodable one."""
+        in_dir = tmp_path / "in"
+        write_input_wavs(in_dir, count=2)
+        (in_dir / "bad.wav").write_bytes(b"this is not audio")
+        config = write_identity_config(tmp_path / "chain.json")
+        return ["augment", "--in", str(in_dir), "--out", str(tmp_path / "out"), "--seed", "7",
+                "--config", str(config)]
+
+    def test_main_leaves_the_callers_logging_alone(self, tmp_path, capsys):
+        root = logging.getLogger()
+        handler = logging.NullHandler()
+        root.addHandler(handler)
+        try:
+            before = (root.handlers.copy(), root.level)
+            assert main(self.failing_augment(tmp_path)) == 2
+            assert (root.handlers, root.level) == before
+        finally:
+            root.removeHandler(handler)
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR speechaug: failed: bad.wav: {tmp_path / 'in' / 'bad.wav'}: "
+            "missing RIFF/WAVE header",
+            "ERROR speechaug: 1 of 3 files failed",
+        ]
+
+    @pytest.mark.parametrize("stderr", ["closed", "reader gone"])
+    def test_a_lost_stderr_keeps_the_exit_code(self, tmp_path, stderr):
+        argv = [sys.executable, "-m", "speechaug.cli", *self.failing_augment(tmp_path)]
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": package_root}
+        if stderr == "closed":
+            # the interpreter starts with no fd 2, so sys.stderr is None
+            run = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *argv],
+                                 env=env, stdout=subprocess.PIPE, timeout=60)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                run = subprocess.run(argv, env=env, stdout=subprocess.PIPE, stderr=write_end,
+                                     timeout=60)
+            finally:
+                os.close(write_end)
+        assert (run.returncode, run.stdout) == (2, b'{"processed": 2, "failed": 1}\n')

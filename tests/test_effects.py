@@ -327,6 +327,11 @@ class TestMixNoise:
         with pytest.raises(EmptyNoiseBank):
             mix_noise(make_sine(440.0, 0.1, 16000), NoiseBank([]), 1, 30.0, rng)
 
+    def test_empty_signal_is_refused(self, rng):
+        bank = make_noise_bank(1, 16000, rng)
+        with pytest.raises(ValueError, match="empty buffer"):
+            mix_noise(AudioBuffer(np.zeros(0), 16000), bank, 1, 30.0, rng)
+
     def test_segment_count_bounds(self, rng):
         bank = make_noise_bank(1, 16000, rng)
         with pytest.raises(ValueError):

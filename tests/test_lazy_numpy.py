@@ -300,14 +300,18 @@ def test_every_subcommand_runs_with_hashlib_blocked(tmp_path):
     assert len(files) == 4 + 1 + 4 + 1 + 2  # augment's WAVs and traces, build's, textaug's
 
 
-# subprocess and the thread pool: a None entry makes every later import of
-# either raise ImportError; no command needs the pool
-_BLOCK_POOLS = "import sys; sys.modules['subprocess'] = None; sys.modules['concurrent.futures'] = None; "
+# subprocess, the thread pool and logging: a None entry makes every later
+# import of one raise ImportError; no command needs the pool, and the CLI
+# writes its ERROR lines itself
+_BLOCK_POOLS = (
+    "import sys; sys.modules['subprocess'] = None; sys.modules['concurrent.futures'] = None; "
+    "sys.modules['logging'] = None; "
+)
 
-# which of the two were imported, at exit, and room for two forked workers
+# which of the three were imported, at exit, and room for two forked workers
 _REPORT_POOLS = (
     "import atexit, os, sys; os.cpu_count = lambda: 4; "
-    "atexit.register(lambda: print([name for name in ('subprocess', 'concurrent.futures')"
+    "atexit.register(lambda: print([name for name in ('subprocess', 'concurrent.futures', 'logging')"
     " if sys.modules.get(name) is not None], file=sys.stderr)); "
 )
 

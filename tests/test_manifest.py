@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import json
@@ -523,33 +522,6 @@ class TestBuildManifest:
                 chain=ChainConfig((EffectSpec("speed", 1.0, (0.9, 0.9)),)), workers=2,
             )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["audio"]
-
-    def test_no_worker_holds_an_engine_pipe(self, tmp_path, monkeypatch):
-        # an engine whose input a worker held open would never see its end
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        engine = tmp_path / "tts.py"
-        engine.write_text(textwrap.dedent(TONE_ENGINE))
-
-        class PipeSeeing(MockUnitizer):
-            def unitize(self, buffer):
-                for fd in range(256):
-                    with contextlib.suppress(OSError):
-                        if os.fstat(fd)[1:3] in pipes:
-                            raise PortError(f"fd {fd} is an engine pipe")
-                return super().unitize(buffer)
-
-        chain = ChainConfig((EffectSpec("speed", 1.0, (0.9, 0.9)),))
-        failed = {}
-        for workers in (1, 2):
-            with SubprocessSynthesizer([sys.executable, str(engine), str(tmp_path / "wavs")]) as synth:
-                pipes = {os.fstat(pipe.fileno())[1:3] for pipe in (synth._proc.stdin, synth._proc.stdout)}
-                outcome = build_manifest(
-                    some_pairs(), synth, PipeSeeing(50), tmp_path / f"w{workers}",
-                    chain=chain, workers=workers,
-                )
-            failed[workers] = len(outcome.failures)
-        # in this process the unitizer sees the pipes; in the workers it does not
-        assert failed == {1: 3, 2: 0}
 
     def test_no_worker_converts_the_bank(self, tmp_path, monkeypatch):
         # the bank is converted to the synthesizer's rate once, before the fork

@@ -43,6 +43,16 @@ def test_shifted_ranges_match_numpy(low, high):
         assert replica.integers(low, high) == int(numpy_rng.integers(low, high))
 
 
+@pytest.mark.parametrize("bits", [129, 159, 201, 256])
+def test_seeds_of_five_to_eight_words_match_numpy(bits):
+    # a seed of more than four 32-bit words mixes its extra words into the pool
+    seed = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+    replica, numpy_rng = PCG64(seed), np.random.Generator(np.random.PCG64(seed))
+    for n in BOUNDS:
+        assert replica.integers(0, n) == int(numpy_rng.integers(0, n))
+        assert replica.random() == numpy_rng.random()
+
+
 def test_reservoir_take_draws_what_a_numpy_generator_draws():
     lines = [f"l{i}" for i in range(500)]
     for seed in range(20):

@@ -324,6 +324,12 @@ class TestSubprocessTranslator:
             with pytest.raises(PortError, match="closed its stdin mid-conversation"):
                 port.translate("second", "a", "b")
 
+    def test_request_to_a_child_that_exited_names_its_exit_code(self, tmp_path):
+        with SubprocessTranslator([sys.executable, "-c", "pass"]) as port:
+            port._proc.wait(timeout=30)
+            with pytest.raises(PortError, match=r"exited with code 0$"):
+                port.translate("too late", "a", "b")
+
 
 def synth_child_source(tmp_path) -> str:
     return f"""

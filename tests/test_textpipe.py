@@ -244,6 +244,18 @@ class TestRunTextStage:
         assert stats.is_conserved()
         assert [p.target for p in pairs] == ["all fine here", "fine again"]
 
+    def test_blank_translation_is_an_empty_pair(self):
+        class Blank:
+            def translate(self, sentence, from_language, to_language):
+                return " \t " if "blank" in sentence else sentence
+
+        corpus = TextCorpus(("this one stays", "this goes blank", "stays as well"), "tgt")
+        pairs, stats = run_text_stage(corpus, Blank(), "src")
+        assert [p.target for p in pairs] == ["this one stays", "stays as well"]
+        assert stats.pair_rejected == {RejectReason.EMPTY: 1}
+        assert stats.accepted == 2
+        assert stats.is_conserved()
+
     def test_conservation_and_order_with_workers(self):
         gen = np.random.default_rng(4)
         words = ["alpha", "beta", "gamma", "delta", "http://x.y", "[tag]", "boom"]
