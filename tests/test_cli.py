@@ -1112,7 +1112,6 @@ class TestBuild:
         assert [r.id for r in records] == ["p00000000", "p00000002"]
         assert runs[1] == runs[0]
 
-
     def test_a_fault_in_the_workers_leaves_the_engine_exited(self, tmp_path, monkeypatch):
         # the workers inherit the engine's pipes; all have exited when the
         # fault reaches cmd_build, which closes the engine after it
